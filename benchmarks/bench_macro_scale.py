@@ -33,12 +33,20 @@ Usage::
     python benchmarks/bench_macro_scale.py                  # full 1M run
     python benchmarks/bench_macro_scale.py --messages 50000 # smoke scale
     python benchmarks/bench_macro_scale.py --verify-messages 100000
+    python benchmarks/bench_macro_scale.py --million-users  # 1M-user row
 
 ``engine_events`` materializes one event per message (at 1M: hundreds of
 MB and minutes of heap churn — the regression this harness exists to
 document), so it runs at ``--verify-messages`` scale (default 100k) while
 ``direct`` and ``engine_stream`` run at full ``--messages`` scale. The
 determinism cross-check compares modes pairwise at equal scales.
+
+``--million-users`` runs only the million-user row instead: the
+canonical adversaries among 16 ISPs x 65 536 users (1 048 576), each
+sending 5 messages a day for two days, ~11M messages on the columnar
+executor. Its set-up (network build, contact tables, first chunks) and
+execution are timed apart, and the row is stored under
+``million_users`` in the output without touching the other rows.
 """
 
 from __future__ import annotations
@@ -58,6 +66,9 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 
 MODES = ("columnar", "direct", "engine_stream", "engine_events")
+
+#: Users per ISP of the million-user row: 16 x 65 536 = 1 048 576 users.
+MILLION_USERS_PER_ISP = 65_536
 
 
 def canonical_scenario(messages: int, seed: int):
@@ -113,6 +124,68 @@ def canonical_scenario(messages: int, seed: int):
         ],
         reconcile_every=DAY,
     )
+
+
+def million_user_scenario(seed: int, users_per_isp: int):
+    """The canonical world widened to 16 ISPs x ``users_per_isp`` users.
+
+    The adversaries keep their 1M-message volumes; every user sends 5
+    messages a day, so at 65 536 users per ISP normal mail is ~10.5M of
+    the ~11M messages.
+    """
+    import dataclasses
+
+    return dataclasses.replace(
+        canonical_scenario(1_000_000, seed),
+        n_isps=16,
+        users_per_isp=users_per_isp,
+        normal_rate_per_day=5.0,
+        columnar=True,
+    )
+
+
+def run_million_users(seed: int, users_per_isp: int) -> dict:
+    """One columnar run of the million-user world, phases timed apart.
+
+    Set-up ends when the executor applies its first batch of messages;
+    the wrapper around its batch function only notes that time.
+    """
+    import resource
+    import time
+
+    import repro.columnar.executor as executor
+
+    execute_batch = executor._execute_batch
+    first: list[float] = []
+
+    def noting_first(*args):
+        if not first:
+            first.append(time.perf_counter())
+        return execute_batch(*args)
+
+    scenario = million_user_scenario(seed, users_per_isp)
+    executor._execute_batch = noting_first
+    try:
+        start = time.perf_counter()
+        result = scenario.run()
+        end = time.perf_counter()
+    finally:
+        executor._execute_batch = execute_batch
+    execution = end - first[0]
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {
+        "mode": "columnar",
+        "n_isps": scenario.n_isps,
+        "users_per_isp": users_per_isp,
+        "users": scenario.n_isps * users_per_isp,
+        "messages": result.sends_attempted,
+        "setup_seconds": round(first[0] - start, 3),
+        "execution_seconds": round(execution, 3),
+        "messages_per_sec": round(result.sends_attempted / execution, 1),
+        "peak_rss_mb": round(rss_kb / 1024, 1),
+        "summary": result.summary(),
+        "digest": accounting_digest(result.network),
+    }
 
 
 def accounting_digest(network) -> str:
@@ -272,8 +345,14 @@ def main() -> None:
         "--no-write", action="store_true", help="measure and check only"
     )
     parser.add_argument(
+        "--million-users",
+        action="store_true",
+        help="run only the million-user columnar row and store it under "
+        "million_users in the output",
+    )
+    parser.add_argument(
         "--single",
-        choices=MODES,
+        choices=MODES + ("million_users",),
         help="internal: run one mode in-process and print JSON",
     )
     args = parser.parse_args()
@@ -281,8 +360,14 @@ def main() -> None:
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
 
+    if args.single == "million_users":
+        print(json.dumps(run_million_users(args.seed, MILLION_USERS_PER_ISP)))
+        return
     if args.single:
         print(json.dumps(run_single(args.single, args.messages, args.seed)))
+        return
+    if args.million_users:
+        million_users_row(args)
         return
 
     verify_messages = min(args.verify_messages, args.messages)
@@ -402,6 +487,40 @@ def main() -> None:
 
     if failures:
         raise SystemExit(1)
+
+
+def million_users_row(args) -> None:
+    """Run the million-user row and merge it into ``args.output``."""
+    print(
+        f"[bench_macro_scale] million_users: 16 x {MILLION_USERS_PER_ISP} "
+        "users on columnar ...",
+        flush=True,
+    )
+    run = run_subprocess("million_users", 0, args.seed)
+    print(
+        f"    {run['users']:,} users, {run['messages']:,} msgs: set-up "
+        f"{run['setup_seconds']}s, execution {run['execution_seconds']}s "
+        f"({run['messages_per_sec']:,.0f} msgs/sec), peak RSS "
+        f"{run['peak_rss_mb']} MB",
+        flush=True,
+    )
+    summary = run["summary"]
+    if not (summary["conserved"] and summary["all_consistent"]):
+        raise SystemExit(f"million-user run failed its checks: {summary}")
+    if args.no_write:
+        return
+    document = json.loads(args.output.read_text()) if args.output.exists() else {}
+    document["million_users"] = {
+        **run,
+        "seed": args.seed,
+        "host": {
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "usable_cores": len(os.sched_getaffinity(0)),
+        },
+    }
+    args.output.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"[bench_macro_scale] wrote million_users to {args.output}")
 
 
 if __name__ == "__main__":

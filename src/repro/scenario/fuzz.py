@@ -24,7 +24,6 @@ from typing import Any, Callable
 from ..errors import SimulationError
 from ..sim.clock import DAY
 from ..sim.rng import derive_seed
-from ..sim.workload import HAVE_NUMPY
 from .compiler import compile_scenario, run_plan
 from .generate import generate_doc
 from .schema import canonical_dump
@@ -79,7 +78,7 @@ def check_world(doc: dict[str, Any], *, shards: int = 2) -> str | None:
     """
     plan = compile_scenario(doc)
     modes = ["direct"]
-    if plan.all_compliant and HAVE_NUMPY:
+    if plan.all_compliant:
         modes.append("columnar")
     runs = {mode: run_plan(plan, mode) for mode in modes}
     if cluster_comparable(doc):

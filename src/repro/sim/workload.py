@@ -8,34 +8,36 @@ or through any baseline, which is what makes the comparisons in the
 benchmark harness apples-to-apples.
 
 Addresses are ``(isp_id, user_id)`` pairs matching the paper's model of
-``n`` ISPs with ``m`` users each.
+``n`` ISPs with ``m`` users each. A *gid* is the flat user index
+``isp * users_per_isp + user``.
 
-Performance: when numpy is available (see :data:`repro.sim.rng.HAVE_NUMPY`)
-the generators draw inter-arrival times and targets in vectorized chunks —
-one RNG call per few thousand messages instead of two per message — while
-staying lazy (constant memory per stream) and deterministic per seed. The
-numpy and pure-python paths are *both* deterministic, but they draw from
-differently named streams and therefore produce different (equally valid)
-traffic for the same seed; a given host always takes the same path.
+Each workload has one generator, ``generate_columns()``, which yields its
+traffic as column chunks ``(times, sender_gids, recipient_gids)`` of
+parallel numpy arrays. It draws arrival times and targets in vectorized
+chunks — one RNG call per few thousand messages — while staying lazy
+(constant memory per stream) and deterministic per seed. ``generate()``
+expands those columns into :class:`SendRequest` records, mapping gids to
+addresses arithmetically, so the columnar batch executor
+(:mod:`repro.columnar`) and the object executors consume byte-identical
+traffic from identical RNG draws by construction.
 
-Each generator also exposes ``generate_columns()`` — the same traffic as
-column chunks ``(times, sender_gids, recipient_gids)`` of parallel numpy
-arrays, where a *gid* is the flat user index ``isp * users_per_isp +
-user``. The object path (``_generate_numpy``) is a thin wrapper that
-expands those columns into :class:`SendRequest` records, so the columnar
-batch executor (:mod:`repro.columnar`) and the object executors consume
-byte-identical traffic from identical RNG draws by construction.
+Set-up is O(users): no workload materializes its population. The
+contact lists of :class:`NormalUserWorkload` are drawn by index, one
+short-lived stream per sender, straight into a ``(users × k)`` table
+(see :meth:`NormalUserWorkload._contact_table`).
 """
 
 from __future__ import annotations
 
+import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
 from ..errors import SimulationError
 from .clock import DAY
-from .rng import HAVE_NUMPY, SeededStreams
+from .rng import SeededStreams, derive_seed
 
 __all__ = [
     "TrafficKind",
@@ -88,6 +90,50 @@ class SendRequest:
         return self.time < other.time
 
 
+class _AddressBook(dict):
+    """gid → :class:`Address`, each built on first lookup.
+
+    Holds only the addresses a stream actually touches, and hands out one
+    shared object per user, which keeps the per-message expansion down to
+    a dict hit.
+    """
+
+    def __init__(self, users_per_isp: int) -> None:
+        super().__init__()
+        self.users_per_isp = users_per_isp
+
+    def __missing__(self, gid: int) -> Address:
+        address = self[gid] = Address(*divmod(gid, self.users_per_isp))
+        return address
+
+
+def _expand(columns, users_per_isp: int, kind: TrafficKind) -> Iterator[SendRequest]:
+    """The object path: column chunks as :class:`SendRequest` records.
+
+    Chunks are expanded ``_CHUNK`` rows at a time, so a campaign drawn
+    as one large chunk never holds more than that many python values.
+    """
+    book = _AddressBook(users_per_isp)
+    for times, senders, recipients in columns:
+        for lo in range(0, len(times), _CHUNK):
+            hi = lo + _CHUNK
+            for when, sender, recipient in zip(
+                times[lo:hi].tolist(),
+                senders[lo:hi].tolist(),
+                recipients[lo:hi].tolist(),
+            ):
+                yield SendRequest(when, book[sender], book[recipient], kind)
+
+
+def _gid_in_grid(address: Address, n_isps: int, users_per_isp: int) -> int:
+    """``address``'s gid; raises ``ValueError`` if it is not a user."""
+    if not (0 <= address.isp < n_isps and 0 <= address.user < users_per_isp):
+        raise ValueError(
+            f"{address} is not one of the {n_isps}x{users_per_isp} users"
+        )
+    return address.isp * users_per_isp + address.user
+
+
 class NormalUserWorkload:
     """Poisson correspondence among normal users.
 
@@ -111,85 +157,65 @@ class NormalUserWorkload:
             raise ValueError("need at least one ISP and one user per ISP")
         if rate_per_day < 0:
             raise ValueError("rate_per_day must be non-negative")
+        if contacts_per_user < 0:
+            raise ValueError("contacts_per_user must be non-negative")
         self.n_isps = n_isps
         self.users_per_isp = users_per_isp
         self.rate_per_day = rate_per_day
         self.contacts_per_user = contacts_per_user
         self._streams = streams
         self.name = name
-        self._population = [
-            Address(i, u) for i in range(n_isps) for u in range(users_per_isp)
-        ]
-        self._contacts: dict[Address, list[Address]] = {}
-
-    def _contacts_of(self, sender: Address) -> list[Address]:
-        contacts = self._contacts.get(sender)
-        if contacts is None:
-            stream = self._streams.get(f"{self.name}:contacts:{sender}")
-            others = [a for a in self._population if a != sender]
-            k = min(self.contacts_per_user, len(others))
-            contacts = stream.sample(others, k) if k else []
-            self._contacts[sender] = contacts
-        return contacts
 
     def generate(self, duration: float) -> Iterator[SendRequest]:
         """Yield requests over ``[0, duration)`` in time order."""
-        if self.rate_per_day == 0:
-            return iter(())
-        if HAVE_NUMPY:
-            return self._generate_numpy(duration)
-        return self._generate_python(duration)
-
-    def _generate_python(self, duration: float) -> Iterator[SendRequest]:
-        arrival_stream = self._streams.get(f"{self.name}:arrivals")
-        pick_stream = self._streams.get(f"{self.name}:pick")
-        total_rate = self.rate_per_day * len(self._population) / DAY
-        t = 0.0
-        while True:
-            t += arrival_stream.expovariate(total_rate)
-            if t >= duration:
-                return
-            sender = pick_stream.choice(self._population)
-            contacts = self._contacts_of(sender)
-            if not contacts:
-                continue
-            recipient = pick_stream.choice(contacts)
-            yield SendRequest(t, sender, recipient, TrafficKind.NORMAL)
+        return _expand(
+            self.generate_columns(duration), self.users_per_isp, TrafficKind.NORMAL
+        )
 
     def _contact_table(self):
-        """Contact lists as a gid matrix + per-sender counts (column path).
+        """Each user's contacts as a ``(users × k)`` gid matrix.
 
-        The per-sender contact streams are independently named, so
-        materializing them eagerly here draws exactly the same values as
-        the lazy per-sender lookups on the object path.
+        Each sender draws its ``k`` contacts from its own stream, named
+        ``"{name}:contacts:{sender}"``, as a sample of the ``n - 1`` other
+        users. ``random.sample`` reads its population only through ``len``
+        and indexing, so sampling ``range(n - 1)`` draws the same indices
+        as sampling the list of the other users. Index ``i`` is the gid
+        ``i`` below the sender's gid and ``i + 1`` from it on. Each stream
+        is used once, so it is seeded in place rather than kept in the
+        :class:`SeededStreams` registry.
         """
         import numpy as np
 
-        n = len(self._population)
-        counts = np.zeros(n, dtype=np.int64)
-        table = np.zeros((n, max(1, self.contacts_per_user)), dtype=np.int64)
-        users_per_isp = self.users_per_isp
-        for index, sender in enumerate(self._population):
-            contacts = self._contacts_of(sender)
-            counts[index] = len(contacts)
-            for slot, contact in enumerate(contacts):
-                table[index, slot] = contact.isp * users_per_isp + contact.user
-        return table, counts
+        n = self.n_isps * self.users_per_isp
+        k = min(self.contacts_per_user, n - 1)
+        if k <= 0:
+            return np.zeros((n, 0), dtype=np.int64)
+        root = self._streams.root_seed
+        prefix = f"{self.name}:contacts:"
+        others = range(n - 1)
+        stream = random.Random()
+        picks = array("q")
+        for isp in range(self.n_isps):
+            for user in range(self.users_per_isp):
+                # The name spells str(Address(isp, user)).
+                stream.seed(derive_seed(root, f"{prefix}user{user}@isp{isp}"))
+                picks.extend(stream.sample(others, k))
+        indices = np.frombuffer(picks, dtype=np.int64).reshape(n, k)
+        return indices + (indices >= np.arange(n)[:, None])
 
     def generate_columns(self, duration: float):
-        """Yield ``(times, sender_gids, recipient_gids)`` column chunks.
-
-        Same RNG streams, same draw order and same cutoff semantics as
-        :meth:`_generate_numpy`; requires numpy.
-        """
+        """Yield ``(times, sender_gids, recipient_gids)`` column chunks."""
         import numpy as np
 
         if self.rate_per_day == 0:
             return
+        table = self._contact_table()
+        k = table.shape[1]
+        if k == 0:
+            return  # nobody has anyone to write to
         rng = self._streams.get_numpy(f"{self.name}:arrivals")
-        n_population = len(self._population)
+        n_population = len(table)
         total_rate = self.rate_per_day * n_population / DAY
-        table, counts = self._contact_table()
         t = 0.0
         while True:
             gaps = rng.exponential(1.0 / total_rate, size=_CHUNK)
@@ -198,39 +224,15 @@ class NormalUserWorkload:
             t = float(times[-1])
             senders = rng.integers(0, n_population, size=_CHUNK)
             picks = rng.random(size=_CHUNK)
-            # Stop at the first arrival past the horizon, like the object
-            # path's early return (times are monotone within a chunk).
+            # Stop at the first arrival past the horizon (times are
+            # monotone within a chunk).
             limit = int(np.searchsorted(times, duration, side="left"))
-            times = times[:limit]
             senders = senders[:limit]
-            picks = picks[:limit]
-            n_contacts = counts[senders]
-            keep = n_contacts > 0
-            if not keep.all():
-                # Senders without contacts consume their draws but emit
-                # nothing — identical to the object path's ``continue``.
-                times = times[keep]
-                senders = senders[keep]
-                picks = picks[keep]
-                n_contacts = n_contacts[keep]
-            recipients = table[senders, (picks * n_contacts).astype(np.int64)]
-            if len(times):
-                yield times, senders.astype(np.int64), recipients
+            recipients = table[senders, (picks[:limit] * k).astype(np.int64)]
+            if limit:
+                yield times[:limit], senders, recipients
             if limit < _CHUNK:
                 return
-
-    def _generate_numpy(self, duration: float) -> Iterator[SendRequest]:
-        # The columns carry the RNG logic; the per-message work left in
-        # python is the list lookups and the SendRequest allocation.
-        population = self._population
-        normal = TrafficKind.NORMAL
-        for times, senders, recipients in self.generate_columns(duration):
-            for when, sender, recipient in zip(
-                times.tolist(), senders.tolist(), recipients.tolist()
-            ):
-                yield SendRequest(
-                    when, population[sender], population[recipient], normal
-                )
 
 
 class SpamCampaignWorkload:
@@ -258,6 +260,7 @@ class SpamCampaignWorkload:
             raise ValueError("volume must be non-negative")
         if duration <= 0:
             raise ValueError("duration must be positive")
+        self._spammer_gid = _gid_in_grid(spammer, n_isps, users_per_isp)
         self.spammer = spammer
         self.volume = volume
         self.start = start
@@ -265,63 +268,30 @@ class SpamCampaignWorkload:
         self.users_per_isp = users_per_isp
         self._streams = streams
         self.name = name
-        self._population = [
-            Address(i, u)
-            for i in range(n_isps)
-            for u in range(users_per_isp)
-            if Address(i, u) != spammer
-        ]
+        self._targets = n_isps * users_per_isp - 1
 
     def generate(self) -> Iterator[SendRequest]:
         """Yield the campaign's requests in time order."""
-        if not self._population:
-            return iter(())
-        if HAVE_NUMPY:
-            return self._generate_numpy()
-        return self._generate_python()
-
-    def _generate_python(self) -> Iterator[SendRequest]:
-        stream = self._streams.get(f"{self.name}:times")
-        pick = self._streams.get(f"{self.name}:targets")
-        times = sorted(
-            stream.uniform(self.start, self.start + self.duration)
-            for _ in range(self.volume)
-        )
-        for t in times:
-            recipient = pick.choice(self._population)
-            yield SendRequest(t, self.spammer, recipient, TrafficKind.SPAM)
+        return _expand(self.generate_columns(), self.users_per_isp, TrafficKind.SPAM)
 
     def generate_columns(self):
         """Yield the campaign as one ``(times, senders, recipients)`` chunk."""
         import numpy as np
 
-        if not self._population or self.volume == 0:
+        if not self._targets or self.volume == 0:
             return
         rng = self._streams.get_numpy(f"{self.name}:times")
         times = rng.uniform(
             self.start, self.start + self.duration, size=self.volume
         )
         times.sort()
-        targets = rng.integers(0, len(self._population), size=self.volume)
-        # The population excludes the spammer, so gids at or past the
-        # spammer's slot shift up by one.
-        spammer_gid = self.spammer.isp * self.users_per_isp + self.spammer.user
+        targets = rng.integers(0, self._targets, size=self.volume)
+        # Targets index the users other than the spammer, so gids at or
+        # past the spammer's shift up by one.
+        spammer_gid = self._spammer_gid
         recipients = targets + (targets >= spammer_gid)
         senders = np.full(self.volume, spammer_gid, dtype=np.int64)
         yield times, senders, recipients
-
-    def _generate_numpy(self) -> Iterator[SendRequest]:
-        users_per_isp = self.users_per_isp
-        spammer = self.spammer
-        spam = TrafficKind.SPAM
-        for times, _senders, recipients in self.generate_columns():
-            for when, recipient in zip(times.tolist(), recipients.tolist()):
-                yield SendRequest(
-                    when,
-                    spammer,
-                    Address(recipient // users_per_isp, recipient % users_per_isp),
-                    spam,
-                )
 
 
 class ZombieBurstWorkload:
@@ -348,6 +318,7 @@ class ZombieBurstWorkload:
             raise ValueError("rate_per_hour must be positive")
         if end <= start:
             raise ValueError("end must be after start")
+        self._zombie_gid = _gid_in_grid(zombie, n_isps, users_per_isp)
         self.zombie = zombie
         self.rate_per_hour = rate_per_hour
         self.start = start
@@ -355,43 +326,23 @@ class ZombieBurstWorkload:
         self.users_per_isp = users_per_isp
         self._streams = streams
         self.name = name
-        self._population = [
-            Address(i, u)
-            for i in range(n_isps)
-            for u in range(users_per_isp)
-            if Address(i, u) != zombie
-        ]
+        self._targets = n_isps * users_per_isp - 1
 
     def generate(self) -> Iterator[SendRequest]:
         """Yield the burst's requests in time order."""
-        if not self._population:
-            return iter(())
-        if HAVE_NUMPY:
-            return self._generate_numpy()
-        return self._generate_python()
-
-    def _generate_python(self) -> Iterator[SendRequest]:
-        arrivals = self._streams.get(f"{self.name}:arrivals")
-        pick = self._streams.get(f"{self.name}:targets")
-        rate_per_second = self.rate_per_hour / 3600.0
-        t = self.start
-        while True:
-            t += arrivals.expovariate(rate_per_second)
-            if t >= self.end:
-                return
-            recipient = pick.choice(self._population)
-            yield SendRequest(t, self.zombie, recipient, TrafficKind.ZOMBIE)
+        return _expand(
+            self.generate_columns(), self.users_per_isp, TrafficKind.ZOMBIE
+        )
 
     def generate_columns(self):
         """Yield ``(times, senders, recipients)`` chunks for the burst."""
         import numpy as np
 
-        if not self._population:
+        if not self._targets:
             return
         rng = self._streams.get_numpy(f"{self.name}:arrivals")
-        n_population = len(self._population)
         scale = 3600.0 / self.rate_per_hour
-        zombie_gid = self.zombie.isp * self.users_per_isp + self.zombie.user
+        zombie_gid = self._zombie_gid
         end = self.end
         t = self.start
         while True:
@@ -399,7 +350,7 @@ class ZombieBurstWorkload:
             times = gaps.cumsum()
             times += t
             t = float(times[-1])
-            targets = rng.integers(0, n_population, size=_CHUNK)
+            targets = rng.integers(0, self._targets, size=_CHUNK)
             limit = int(np.searchsorted(times, end, side="left"))
             times = times[:limit]
             targets = targets[:limit]
@@ -409,19 +360,6 @@ class ZombieBurstWorkload:
                 yield times, senders, recipients
             if limit < _CHUNK:
                 return
-
-    def _generate_numpy(self) -> Iterator[SendRequest]:
-        users_per_isp = self.users_per_isp
-        zombie = self.zombie
-        kind = TrafficKind.ZOMBIE
-        for times, _senders, recipients in self.generate_columns():
-            for when, recipient in zip(times.tolist(), recipients.tolist()):
-                yield SendRequest(
-                    when,
-                    zombie,
-                    Address(recipient // users_per_isp, recipient % users_per_isp),
-                    kind,
-                )
 
 
 @dataclass(frozen=True)
@@ -502,34 +440,16 @@ class FloodWorkload:
         self.users_per_isp = users_per_isp
         self._streams = streams
         self.name = name
-        self._attackers = [
-            Address(spec.attacker_isp, user % users_per_isp)
+        self._attacker_gids = [
+            spec.attacker_isp * users_per_isp + user % users_per_isp
             for user in range(spec.attackers)
         ]
 
     def generate(self) -> Iterator[SendRequest]:
         """Yield the flood's requests in time order."""
-        if HAVE_NUMPY:
-            return self._generate_numpy()
-        return self._generate_python()
-
-    def _generate_python(self) -> Iterator[SendRequest]:
-        spec = self.spec
-        arrivals = self._streams.get(f"{self.name}:arrivals")
-        pick = self._streams.get(f"{self.name}:targets")
-        kind = TrafficKind(spec.kind)
-        attackers = self._attackers
-        end = spec.start + spec.duration
-        t = spec.start
-        while True:
-            t += arrivals.expovariate(spec.rate_per_sec)
-            if t >= end:
-                return
-            sender = attackers[pick.randrange(len(attackers))]
-            recipient = Address(
-                spec.target_isp, pick.randrange(self.users_per_isp)
-            )
-            yield SendRequest(t, sender, recipient, kind)
+        return _expand(
+            self.generate_columns(), self.users_per_isp, TrafficKind(self.spec.kind)
+        )
 
     def generate_columns(self):
         """Yield ``(times, senders, recipients)`` chunks for the flood."""
@@ -538,10 +458,7 @@ class FloodWorkload:
         spec = self.spec
         rng = self._streams.get_numpy(f"{self.name}:arrivals")
         users_per_isp = self.users_per_isp
-        attacker_gids = np.array(
-            [a.isp * users_per_isp + a.user for a in self._attackers],
-            dtype=np.int64,
-        )
+        attacker_gids = np.array(self._attacker_gids, dtype=np.int64)
         target_base = spec.target_isp * users_per_isp
         end = spec.start + spec.duration
         t = spec.start
@@ -561,22 +478,6 @@ class FloodWorkload:
                 )
             if limit < _CHUNK:
                 return
-
-    def _generate_numpy(self) -> Iterator[SendRequest]:
-        users_per_isp = self.users_per_isp
-        kind = TrafficKind(self.spec.kind)
-        for times, senders, recipients in self.generate_columns():
-            for when, sender, recipient in zip(
-                times.tolist(), senders.tolist(), recipients.tolist()
-            ):
-                yield SendRequest(
-                    when,
-                    Address(sender // users_per_isp, sender % users_per_isp),
-                    Address(
-                        recipient // users_per_isp, recipient % users_per_isp
-                    ),
-                    kind,
-                )
 
 
 def merge_workloads(*iterators: Iterator[SendRequest]) -> Iterator[SendRequest]:

@@ -10,6 +10,9 @@ both executors so the equivalence claim rests on more than the canonical
 workload; shrinking then hands back a minimal diverging scenario.
 """
 
+import importlib.util
+import pathlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -203,3 +206,22 @@ class TestRandomizedEquivalence:
         assert accounting_digest(columnar.network) == accounting_digest(
             direct.network
         )
+
+
+def test_million_user_row_at_small_scale():
+    # benchmarks/bench_macro_scale.py --million-users, at 16 x 64 users.
+    path = pathlib.Path(__file__).resolve().parent.parent / (
+        "benchmarks/bench_macro_scale.py"
+    )
+    spec = importlib.util.spec_from_file_location("bench_macro_scale", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    import repro.columnar.executor as executor
+
+    original = executor._execute_batch
+    row = bench.run_million_users(7, 64)
+    assert executor._execute_batch is original
+    assert row["users"] == 16 * 64
+    assert row["messages"] == row["summary"]["sends_attempted"] > 0
+    assert row["summary"]["conserved"] and row["summary"]["all_consistent"]
+    assert row["setup_seconds"] > 0 and row["execution_seconds"] > 0

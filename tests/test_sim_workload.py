@@ -1,5 +1,6 @@
 """Tests for the email workload generators."""
 
+import numpy as np
 import pytest
 
 from repro.sim.clock import DAY, HOUR
@@ -83,6 +84,68 @@ class TestNormalUserWorkload:
                 n_isps=1, users_per_isp=1, rate_per_day=-1.0,
                 streams=SeededStreams(0),
             )
+        with pytest.raises(ValueError):
+            NormalUserWorkload(
+                n_isps=1, users_per_isp=2, rate_per_day=1.0,
+                streams=SeededStreams(0), contacts_per_user=-1,
+            )
+
+
+def quadratic_contact_table(n_isps, users_per_isp, k, seed):
+    """The contact table drawn by sampling each sender's list of others."""
+    streams = SeededStreams(seed)
+    population = [
+        Address(i, u) for i in range(n_isps) for u in range(users_per_isp)
+    ]
+    size = min(k, len(population) - 1)
+    table = np.zeros((len(population), size), dtype=np.int64)
+    for row, sender in enumerate(population):
+        others = [a for a in population if a != sender]
+        if size:
+            contacts = streams.get(f"normal:contacts:{sender}").sample(others, size)
+            table[row] = [c.isp * users_per_isp + c.user for c in contacts]
+    return table
+
+
+class TestContactTable:
+    """The index-sampled table equals sampling each sender's others."""
+
+    @pytest.mark.parametrize(
+        "n_isps, users_per_isp, k",
+        [
+            (3, 4, 8),  # pool branch of random.sample: n - 1 <= 85
+            (2, 43, 8),  # n - 1 == 85, the last pool size
+            (1, 87, 8),  # n - 1 == 86, the first set size
+            (4, 64, 8),  # set branch
+            (4, 30, 3),  # set branch for k <= 5 (n - 1 > 21)
+            (1, 9, 8),  # k == n - 1
+            (1, 5, 8),  # k > n - 1: everyone else is a contact
+            (3, 4, 0),  # k == 0
+            (1, 1, 8),  # one user in total
+        ],
+    )
+    def test_matches_quadratic_reference(self, n_isps, users_per_isp, k):
+        seed = 1000 * n_isps + users_per_isp
+        streams = SeededStreams(seed)
+        workload = NormalUserWorkload(
+            n_isps=n_isps, users_per_isp=users_per_isp, rate_per_day=1.0,
+            streams=streams, contacts_per_user=k,
+        )
+        table = workload._contact_table()
+        expected = quadratic_contact_table(n_isps, users_per_isp, k, seed)
+        assert table.dtype == expected.dtype
+        np.testing.assert_array_equal(table, expected)
+        # Per-sender streams are used once and never registered.
+        assert streams._streams == {}
+
+    def test_no_contacts_means_no_traffic(self):
+        for n_isps, users_per_isp, k in ((1, 1, 8), (3, 4, 0)):
+            workload = NormalUserWorkload(
+                n_isps=n_isps, users_per_isp=users_per_isp,
+                rate_per_day=100.0, streams=SeededStreams(0),
+                contacts_per_user=k,
+            )
+            assert list(workload.generate(DAY)) == []
 
 
 class TestSpamCampaignWorkload:
@@ -119,6 +182,47 @@ class TestSpamCampaignWorkload:
         times = [r.time for r in self.make().generate()]
         assert times == sorted(times)
 
+    def test_spammer_must_be_a_user(self):
+        with pytest.raises(ValueError):
+            SpamCampaignWorkload(
+                spammer=Address(0, 4), n_isps=3, users_per_isp=4,
+                volume=1, start=0.0, duration=1.0, streams=SeededStreams(1),
+            )
+
+    def test_sole_user_sends_nothing(self):
+        workload = SpamCampaignWorkload(
+            spammer=Address(0, 0), n_isps=1, users_per_isp=1,
+            volume=10, start=0.0, duration=1.0, streams=SeededStreams(1),
+        )
+        assert list(workload.generate()) == []
+
+
+class TestObjectExpansion:
+    def test_generate_expands_the_columns(self):
+        # 20 000 messages in one column chunk: generate() expands it in
+        # slices and must still yield every row, in order.
+        def make():
+            return SpamCampaignWorkload(
+                spammer=Address(1, 2), n_isps=3, users_per_isp=4,
+                volume=20_000, start=0.0, duration=DAY,
+                streams=SeededStreams(3),
+            )
+
+        expected = [
+            (when, divmod(sender, 4), divmod(recipient, 4))
+            for times, senders, recipients in make().generate_columns()
+            for when, sender, recipient in zip(
+                times.tolist(), senders.tolist(), recipients.tolist()
+            )
+        ]
+        got = [
+            (r.time, (r.sender.isp, r.sender.user),
+             (r.recipient.isp, r.recipient.user))
+            for r in make().generate()
+        ]
+        assert len(got) == 20_000
+        assert got == expected
+
 
 class TestZombieBurstWorkload:
     def make(self):
@@ -148,6 +252,14 @@ class TestZombieBurstWorkload:
             ZombieBurstWorkload(
                 zombie=Address(0, 0), n_isps=1, users_per_isp=2,
                 rate_per_hour=10.0, start=5.0, end=5.0,
+                streams=SeededStreams(0),
+            )
+
+    def test_zombie_must_be_a_user(self):
+        with pytest.raises(ValueError):
+            ZombieBurstWorkload(
+                zombie=Address(2, 0), n_isps=2, users_per_isp=3,
+                rate_per_hour=10.0, start=0.0, end=5.0,
                 streams=SeededStreams(0),
             )
 

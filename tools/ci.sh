@@ -44,6 +44,11 @@
 #    byte-comparing the two canonical reports (cmp) and requiring every
 #    cell to pass conservation/consistency. The full 100-world phase
 #    diagram runs via benchmarks/bench_arena.py (see the workflow).
+# 10. Times NormalUserWorkload contact-table set-up at 8192 and 65536
+#    users (best of three each) and fails if the larger population costs
+#    more than 10x the smaller one: set-up must stay O(users). A ratio of
+#    two timings taken back to back holds on a loaded host; linear
+#    set-up measured ~8x, the old quadratic one would be ~64x.
 #
 # The committed reference was measured on a developer machine; raw
 # msgs/sec on other hardware differ, so the default tolerance is loose
@@ -261,5 +266,33 @@ PYTHONPATH=src python -m repro arena --seed "${ARENA_SEED}" \
 cmp /tmp/arena_report_1.json /tmp/arena_report_2.json \
     || { echo "arena tournament is not reproducible"; exit 1; }
 echo "arena reports byte-identical"
+
+echo "== contact-table set-up scaling (8192 vs 65536 users, ratio <= 10x) =="
+PYTHONPATH=src python - <<'EOF'
+import time
+
+from repro.sim.rng import SeededStreams
+from repro.sim.workload import NormalUserWorkload
+
+
+def setup_seconds(users_per_isp: int) -> float:
+    best = float("inf")
+    for _ in range(3):
+        workload = NormalUserWorkload(
+            n_isps=16, users_per_isp=users_per_isp, rate_per_day=1.0,
+            streams=SeededStreams(7),
+        )
+        start = time.perf_counter()
+        workload._contact_table()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+small, large = setup_seconds(512), setup_seconds(4096)
+ratio = large / small
+print(f"  8192 users: {small:.3f}s, 65536 users: {large:.3f}s, ratio {ratio:.1f}x")
+if ratio > 10.0:
+    raise SystemExit(f"contact-table set-up scales {ratio:.1f}x for 8x users (> 10x)")
+EOF
 
 echo "== CI gate passed =="
