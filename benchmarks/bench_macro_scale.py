@@ -8,16 +8,15 @@ days with three funded spam campaigns, two zombie outbreaks and daily
 reconciliation — and records the results in ``BENCH_scale.json`` at the
 repo root, where CI (``tools/ci.sh``) guards against regressions.
 
-Four drive modes run the *same* workload from the same seed:
+Three drive modes run the *same* workload from the same seed:
 
 * ``columnar``      — the struct-of-arrays batch executor
   (``repro.columnar``): vectorized masked numpy ops, the fastest path;
 * ``direct``        — synchronous sends, no engine (the scalar
   reference path the columnar executor is verified against);
-* ``engine_stream`` — engine mode with the streaming fast path (workload
-  pulled lazily between heap events; heap stays O(timers));
-* ``engine_events`` — engine mode with one heap event + closure per
-  message (the legacy path, kept for comparison).
+* ``engine_stream`` — the ``engine`` executor (workload pulled lazily
+  between heap events; heap stays O(timers)). The row keeps its
+  historical label so committed numbers stay comparable.
 
 Each mode runs in its own subprocess so peak-RSS figures are honest
 per-mode numbers. After the runs, the harness *asserts determinism*: all
@@ -32,14 +31,9 @@ Usage::
 
     python benchmarks/bench_macro_scale.py                  # full 1M run
     python benchmarks/bench_macro_scale.py --messages 50000 # smoke scale
-    python benchmarks/bench_macro_scale.py --verify-messages 100000
     python benchmarks/bench_macro_scale.py --million-users  # 1M-user row
 
-``engine_events`` materializes one event per message (at 1M: hundreds of
-MB and minutes of heap churn — the regression this harness exists to
-document), so it runs at ``--verify-messages`` scale (default 100k) while
-``direct`` and ``engine_stream`` run at full ``--messages`` scale. The
-determinism cross-check compares modes pairwise at equal scales.
+The determinism cross-check compares modes pairwise at equal scales.
 
 ``--million-users`` runs only the million-user row instead: the
 canonical adversaries among 16 ISPs x 65 536 users (1 048 576), each
@@ -65,13 +59,13 @@ HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 
-MODES = ("columnar", "direct", "engine_stream", "engine_events")
+MODES = ("columnar", "direct", "engine_stream")
 
 #: Users per ISP of the million-user row: 16 x 65 536 = 1 048 576 users.
 MILLION_USERS_PER_ISP = 65_536
 
 
-def canonical_scenario(messages: int, seed: int):
+def canonical_scenario(messages: int, seed: int, executor: str = "direct"):
     """The fixed macro benchmark scenario, scaled to ~``messages`` sends.
 
     Rates scale linearly, topology and duration stay fixed, so every
@@ -123,6 +117,7 @@ def canonical_scenario(messages: int, seed: int):
             ),
         ],
         reconcile_every=DAY,
+        executor=executor,
     )
 
 
@@ -136,11 +131,10 @@ def million_user_scenario(seed: int, users_per_isp: int):
     import dataclasses
 
     return dataclasses.replace(
-        canonical_scenario(1_000_000, seed),
+        canonical_scenario(1_000_000, seed, "columnar"),
         n_isps=16,
         users_per_isp=users_per_isp,
         normal_rate_per_day=5.0,
-        columnar=True,
     )
 
 
@@ -205,17 +199,8 @@ def run_single(mode: str, messages: int, seed: int) -> dict:
     import resource
     import time
 
-    scenario = canonical_scenario(messages, seed)
-    if mode == "engine_stream":
-        scenario.engine_mode = True
-    elif mode == "engine_events":
-        scenario.engine_mode = True
-        scenario.engine_streaming = False
-    elif mode == "columnar":
-        scenario.columnar = True
-    elif mode != "direct":
-        raise SystemExit(f"unknown mode {mode!r}")
-
+    executor = "engine" if mode == "engine_stream" else mode
+    scenario = canonical_scenario(messages, seed, executor)
     start = time.perf_counter()
     result = scenario.run()
     elapsed = time.perf_counter() - start
@@ -228,8 +213,8 @@ def run_single(mode: str, messages: int, seed: int) -> dict:
         "peak_rss_mb": round(rss_kb / 1024, 1),
         "summary": result.summary(),
         "digest": accounting_digest(result.network),
-        # Per-reconcile-cut accounting digests; empty for engine modes
-        # (their mid-run cut ordering differs — see ScenarioResult).
+        # Per-reconcile-cut accounting digests; empty for the engine
+        # (its mid-run cut ordering differs — see ScenarioResult).
         "cut_digests": result.cut_digests,
     }
 
@@ -327,13 +312,6 @@ def main() -> None:
         default=1_000_000,
         help="target send count for direct/engine_stream (default 1M)",
     )
-    parser.add_argument(
-        "--verify-messages",
-        type=int,
-        default=100_000,
-        help="scale for the engine_events old-path cross-check "
-        "(default 100k; engine_events is O(messages) memory)",
-    )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--output",
@@ -370,18 +348,11 @@ def main() -> None:
         million_users_row(args)
         return
 
-    verify_messages = min(args.verify_messages, args.messages)
     plan = [
         ("columnar", args.messages),
         ("direct", args.messages),
         ("engine_stream", args.messages),
-        ("engine_events", verify_messages),
     ]
-    # The old-path/new-path determinism check needs equal scales; when the
-    # main scale differs from the verify scale, rerun the streaming path
-    # small so engine_events has a same-scale twin.
-    if verify_messages != args.messages:
-        plan.append(("engine_stream_verify", verify_messages))
 
     # Throughput is scale-dependent (interpreter and deployment setup
     # amortize over more messages at full scale), so CI's smoke runs are
@@ -397,7 +368,7 @@ def main() -> None:
 
     runs: dict[str, dict] = {}
     for name, messages in plan:
-        mode = name.replace("_verify", "").replace("_smoke", "")
+        mode = name.replace("_smoke", "")
         print(f"[bench_macro_scale] {name}: {messages} messages ...", flush=True)
         run = run_subprocess(mode, messages, args.seed)
         print(

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.transfer import SendStatus
-from ..core.zombie import ZombieMonitor
 from ..errors import SimulationError
 from ..obs.manifest import accounting_digest
 from ..sim.clock import DAY
@@ -228,12 +227,8 @@ class _Engine:
         plan = compile_scenario(_base_doc(doc))
         self.scenario = plan.scenario("direct")
         self.scenario.tracer = tracer
-        self.network = self.scenario.build_network()
+        self.network, self.monitor = self.scenario._deploy()
         self.tracer = self.network.tracer
-        for spec in self.scenario.spammers:
-            if spec.war_chest:
-                self.network.fund_user(spec.address, epennies=spec.war_chest)
-        self.monitor = ZombieMonitor(self.network)
         self.requests = merge_workloads(
             *self.scenario.workload_streams(SeededStreams(self.scenario.seed))
         )

@@ -49,6 +49,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
+    from .core.scenario import EXECUTORS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Zmail (ICDCS 2005) reproduction — runnable scenarios",
@@ -233,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the last N trace lines to stdout",
     )
     trace.add_argument(
-        "--mode", choices=("direct", "columnar", "engine_stream"),
-        default="direct",
+        "--mode", choices=EXECUTORS, default="direct",
         help="executor driving the canonical scenario (default direct)",
     )
     trace.add_argument(
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--mode",
-        choices=("direct", "columnar", "engine", "cluster", "chaos"),
+        choices=EXECUTORS + ("cluster", "chaos"),
         default="direct",
         help="drive to execute the compiled plan on (default direct)",
     )

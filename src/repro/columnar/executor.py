@@ -41,12 +41,13 @@ mode byte for byte (asserted in tests); tracing changes no outcome.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.isp import CompliantISP
-from ..core.zombie import ZombieMonitor
 from ..errors import SimulationError
 from ..obs.manifest import accounting_digest
 from ..sim.clock import DAY
-from ..sim.rng import HAVE_NUMPY, SeededStreams
+from ..sim.rng import SeededStreams
 from .plan import KIND_ORDER, merge_column_streams
 from .state import ColumnarState
 
@@ -68,24 +69,13 @@ _KIND_VALUES = tuple(kind.value for kind in KIND_ORDER)
 
 def run_columnar(scenario):
     """Execute ``scenario`` with the columnar batch executor."""
-    if not HAVE_NUMPY:
-        raise SimulationError("columnar mode requires numpy")
-    if scenario.engine_mode:
-        raise SimulationError("columnar mode is a direct-mode executor")
-    import numpy as np
-
-    network = scenario.build_network()
+    network, monitor = scenario._deploy()
     if any(
         not isinstance(isp, CompliantISP) for isp in network.isps.values()
     ):
         raise SimulationError(
             "columnar mode requires an all-compliant deployment"
         )
-    monitor = ZombieMonitor(network)
-    for spec in scenario.spammers:
-        if spec.war_chest:
-            network.fund_user(spec.address, epennies=spec.war_chest)
-
     streams = SeededStreams(scenario.seed)
     chunks = merge_column_streams(scenario.workload_column_streams(streams))
 
@@ -111,7 +101,8 @@ def run_columnar(scenario):
             pos, n = 0, len(times)
             while pos < n:
                 t_pos = float(times[pos])
-                if next_reconcile is not None and t_pos >= next_reconcile:
+                # A message may jump several boundaries: take each round.
+                while next_reconcile is not None and t_pos >= next_reconcile:
                     boundary_reconcile()
                 if int(t_pos // DAY) > network._last_day_seen:
                     state.spill()
@@ -124,10 +115,13 @@ def run_columnar(scenario):
                 end = pos + 1 + int(
                     np.searchsorted(times[pos + 1 :], limit_t, side="left")
                 )
-                _execute_batch(np, network, state, tracer, chunk, pos, end)
+                _execute_batch(network, state, tracer, chunk, pos, end)
                 attempted += end - pos
                 pos = end
 
+    # Boundaries after the last message, then the closing round.
+    while next_reconcile is not None and next_reconcile < scenario.duration:
+        boundary_reconcile()
     state.spill()
     network.note_time(scenario.duration)
     reconciliations.append(network.reconcile("direct"))
@@ -138,7 +132,7 @@ def run_columnar(scenario):
     return result
 
 
-def _execute_batch(np, network, state, tracer, chunk, pos, end):
+def _execute_batch(network, state, tracer, chunk, pos, end):
     """Apply one boundary-free sub-batch to the arrays."""
     senders = chunk.senders[pos:end]
     recipients = chunk.recipients[pos:end]
@@ -175,7 +169,7 @@ def _execute_batch(np, network, state, tracer, chunk, pos, end):
             lim_senders // upi, minlength=state.n_isps
         )
         state.bump_metric("send.blocked_limit", int(len(lim_senders)))
-        _bump_kind_metrics(np, state, "send.kind.", kinds[msg_at_limit])
+        _bump_kind_metrics(state, "send.kind.", kinds[msg_at_limit])
         if traced:
             status[msg_at_limit] = _BLOCKED_LIMIT
 
@@ -219,20 +213,17 @@ def _execute_batch(np, network, state, tracer, chunk, pos, end):
             state.touched |= traded
             state.touched |= traded.T
             state.bump_metric("deliver.delivered", n_remote)
-            _bump_kind_metrics(
-                np, state, "deliver.kind.", kinds[msg_safe][~local]
-            )
+            _bump_kind_metrics(state, "deliver.kind.", kinds[msg_safe][~local])
         state.bump_metric("send.delivered_local", n_local)
         state.bump_metric("send.sent_paid", n_remote)
-        _bump_kind_metrics(np, state, "send.kind.", kinds[msg_safe])
+        _bump_kind_metrics(state, "send.kind.", kinds[msg_safe])
         if traced:
             status[msg_safe] = np.where(local, _DELIVERED_LOCAL, _SENT_PAID)
 
     # -- contended residual: exact per-message replay in arrival order ------
     if msg_scalar.any():
         topups = _run_scalar(
-            np, network, state, senders, recipients, kinds, msg_scalar,
-            status,
+            network, state, senders, recipients, kinds, msg_scalar, status,
         )
 
     if traced:
@@ -241,7 +232,7 @@ def _execute_batch(np, network, state, tracer, chunk, pos, end):
         )
 
 
-def _run_scalar(np, network, state, senders, recipients, kinds, mask, status):
+def _run_scalar(network, state, senders, recipients, kinds, mask, status):
     """Replay contended messages one at a time against the arrays.
 
     Mirrors ``CompliantISP._submit_now`` + ``ZmailNetwork``'s auto top-up
@@ -335,7 +326,7 @@ def _run_scalar(np, network, state, senders, recipients, kinds, mask, status):
     return topup_amounts
 
 
-def _bump_kind_metrics(np, state, prefix, kind_codes):
+def _bump_kind_metrics(state, prefix, kind_codes):
     counts = np.bincount(kind_codes, minlength=len(_KIND_VALUES))
     for code, count in enumerate(counts.tolist()):
         if count:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from ..sim.workload import TrafficKind
 
 __all__ = ["KIND_ORDER", "ChunkPlan", "merge_column_streams"]
@@ -47,8 +49,6 @@ def merge_column_streams(
     streams: list[tuple[TrafficKind, Iterator[tuple]]],
 ) -> Iterator[ChunkPlan]:
     """Merge per-workload column streams into sorted :class:`ChunkPlan`\\ s."""
-    import numpy as np
-
     kind_code = {kind: code for code, kind in enumerate(KIND_ORDER)}
     # Per stream: [chunk iterator or None when exhausted, buffered triple
     # or None when drained, kind code]. List order is stream order — the

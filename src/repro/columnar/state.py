@@ -21,6 +21,8 @@ remembering which pairs traded at all, not just the net credit.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["ColumnarState"]
 
 
@@ -28,9 +30,6 @@ class ColumnarState:
     """Numpy mirror of users, ledgers, stats and credit for one network."""
 
     def __init__(self, network) -> None:
-        import numpy as np
-
-        self._np = np
         self.network = network
         self.n_isps = network.n_isps
         self.users_per_isp = network.users_per_isp

@@ -37,6 +37,7 @@ from ..sim.workload import (
     SpamCampaignWorkload,
     TrafficKind,
     ZombieBurstWorkload,
+    expand_columns,
     merge_workloads,
 )
 from .config import ZmailConfig
@@ -44,7 +45,10 @@ from .misbehavior import ReconciliationReport
 from .protocol import ZmailNetwork
 from .zombie import ZombieDetection, ZombieMonitor
 
-__all__ = ["SpammerSpec", "ZombieSpec", "Scenario", "ScenarioResult"]
+__all__ = ["EXECUTORS", "SpammerSpec", "ZombieSpec", "Scenario", "ScenarioResult"]
+
+#: The single-process executors a :class:`Scenario` runs on.
+EXECUTORS = ("direct", "columnar", "engine")
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,9 @@ class ScenarioResult:
     reconciliations: list[ReconciliationReport]
     conserved: bool
     # Accounting digest after every reconciliation cut (direct and
-    # columnar modes; empty in engine modes, whose midnight/reconcile
+    # columnar executors; empty on the engine, whose midnight/reconcile
     # ordering at a shared boundary legitimately differs mid-cut). Kept
-    # out of summary() so engine-mode summaries stay mode-invariant.
+    # out of summary() so engine summaries stay executor-invariant.
     cut_digests: list[str] = field(default_factory=list)
 
     @property
@@ -113,7 +117,7 @@ class ScenarioResult:
 
 @dataclass
 class Scenario:
-    """A complete simulation specification (direct mode).
+    """A complete simulation specification, run on one executor.
 
     Attributes:
         n_isps / users_per_isp / compliant / config / seed: Deployment
@@ -123,6 +127,10 @@ class Scenario:
         spammers / zombies: Adversarial actors to inject.
         reconcile_every: Period between §4.4 rounds (0 disables; a final
             round always runs at the end).
+        executor: One of :data:`EXECUTORS`: ``direct`` sends each request
+            synchronously; ``columnar`` (:mod:`repro.columnar`) applies
+            the same decisions in vectorized batches; ``engine`` carries
+            letters over the :attr:`link` network on virtual time.
     """
 
     n_isps: int = 3
@@ -140,19 +148,7 @@ class Scenario:
     # which injects floods only into ChaosDeployment campaigns.
     floods: list[FloodSpec] = field(default_factory=list)
     reconcile_every: float = 0.0
-    # Engine mode: letters travel a FIFO latency network and
-    # reconciliation uses the marker snapshot on virtual time.
-    engine_mode: bool = False
-    # Engine mode only: pull sends lazily from the workload stream (the
-    # fast path) instead of materializing one heap event per message.
-    # Both settings produce identical results for the same seed.
-    engine_streaming: bool = True
-    # Columnar mode: direct-mode semantics executed by the vectorized
-    # struct-of-arrays batch executor (repro.columnar). Requires numpy
-    # and an all-compliant deployment; produces accounting bit-identical
-    # to direct mode (tested and benchmarked). Mutually exclusive with
-    # engine_mode.
-    columnar: bool = False
+    executor: str = "direct"
     link: object | None = None  # sim.LinkSpec; object to avoid hard import
     # Observability (repro.obs): an optional TraceRecorder threaded into
     # the deployment (every ledger event is emitted through it) and an
@@ -160,6 +156,13 @@ class Scenario:
     # off; tracing must not change any protocol outcome (tested).
     tracer: object | None = None
     spans: object | None = None
+
+    def __post_init__(self) -> None:
+        if self.executor not in EXECUTORS:
+            raise SimulationError(
+                f"unknown executor {self.executor!r}; "
+                f"expected one of {EXECUTORS}"
+            )
 
     def build_network(self, engine=None) -> ZmailNetwork:
         """The deployment this scenario runs on (exposed for customisation)."""
@@ -175,6 +178,51 @@ class Scenario:
             spans=self.spans,  # type: ignore[arg-type]
         )
 
+    def _deploy(self, engine=None) -> tuple[ZmailNetwork, ZombieMonitor]:
+        """The network with its zombie monitor, war chests funded."""
+        network = self.build_network(engine=engine)
+        monitor = ZombieMonitor(network)
+        for spec in self.spammers:
+            if spec.war_chest:
+                network.fund_user(spec.address, epennies=spec.war_chest)
+        return network, monitor
+
+    def _traffic(self, streams: SeededStreams):
+        """Each traffic term as ``(kind, home ISP, column-chunk iterator)``.
+
+        The home ISP is the sender's, or None for normal mail, which
+        every ISP sends. Each adversary draws from its own spawned
+        stream (``spam{i}``, ``zombie{i}``, ``flood{i}``). Spawning is
+        pure and the chunk iterators are lazy, so a term a caller drops
+        draws nothing.
+        """
+        grid = {"n_isps": self.n_isps, "users_per_isp": self.users_per_isp}
+        if self.normal_rate_per_day > 0:
+            normal = NormalUserWorkload(
+                **grid, rate_per_day=self.normal_rate_per_day, streams=streams
+            )
+            yield TrafficKind.NORMAL, None, normal.generate_columns(self.duration)
+        for i, spec in enumerate(self.spammers):
+            spam = SpamCampaignWorkload(
+                **grid, spammer=spec.address, volume=spec.volume,
+                start=spec.start, duration=spec.duration,
+                streams=streams.spawn(f"spam{i}"),
+            )
+            yield TrafficKind.SPAM, spec.address.isp, spam.generate_columns()
+        for i, spec in enumerate(self.zombies):
+            zombie = ZombieBurstWorkload(
+                **grid, zombie=spec.address, rate_per_hour=spec.rate_per_hour,
+                start=spec.start, end=spec.end,
+                streams=streams.spawn(f"zombie{i}"),
+            )
+            yield TrafficKind.ZOMBIE, spec.address.isp, zombie.generate_columns()
+        for i, spec in enumerate(self.floods):
+            flood = FloodWorkload(
+                **grid, spec=spec, streams=streams.spawn(f"flood{i}"),
+                name=f"flood{i}",
+            )
+            yield TrafficKind(spec.kind), spec.attacker_isp, flood.generate_columns()
+
     def workload_streams(
         self,
         streams: SeededStreams,
@@ -189,168 +237,69 @@ class Scenario:
         same streams from the same seed, so per-name RNG consumption is
         identical everywhere; the normal workload is filtered
         per-request (its per-sender contact streams are independent),
-        while spam/zombie streams for foreign actors are skipped
-        entirely (each spec has its own spawned stream).
+        while spam/zombie/flood terms of foreign actors are dropped
+        whole (each has its own spawned stream).
         """
         keep = sender_isps
         iterators = []
-        if self.normal_rate_per_day > 0:
-            normal = NormalUserWorkload(
-                n_isps=self.n_isps,
-                users_per_isp=self.users_per_isp,
-                rate_per_day=self.normal_rate_per_day,
-                streams=streams,
-            ).generate(self.duration)
-            if keep is not None:
-                normal = (r for r in normal if r.sender.isp in keep)
-            iterators.append(normal)
-        for index, spec in enumerate(self.spammers):
-            spawned = streams.spawn(f"spam{index}")
-            if keep is not None and spec.address.isp not in keep:
+        for kind, home, chunks in self._traffic(streams):
+            if keep is not None and home is not None and home not in keep:
                 continue
-            iterators.append(
-                SpamCampaignWorkload(
-                    spammer=spec.address,
-                    n_isps=self.n_isps,
-                    users_per_isp=self.users_per_isp,
-                    volume=spec.volume,
-                    start=spec.start,
-                    duration=spec.duration,
-                    streams=spawned,
-                ).generate()
-            )
-        for index, spec in enumerate(self.zombies):
-            spawned = streams.spawn(f"zombie{index}")
-            if keep is not None and spec.address.isp not in keep:
-                continue
-            iterators.append(
-                ZombieBurstWorkload(
-                    zombie=spec.address,
-                    n_isps=self.n_isps,
-                    users_per_isp=self.users_per_isp,
-                    rate_per_hour=spec.rate_per_hour,
-                    start=spec.start,
-                    end=spec.end,
-                    streams=spawned,
-                ).generate()
-            )
-        for index, spec in enumerate(self.floods):
-            spawned = streams.spawn(f"flood{index}")
-            if keep is not None and spec.attacker_isp not in keep:
-                continue
-            iterators.append(
-                FloodWorkload(
-                    spec=spec,
-                    n_isps=self.n_isps,
-                    users_per_isp=self.users_per_isp,
-                    streams=spawned,
-                    name=f"flood{index}",
-                ).generate()
-            )
+            requests = expand_columns(chunks, self.users_per_isp, kind)
+            if keep is not None and home is None:
+                requests = (r for r in requests if r.sender.isp in keep)
+            iterators.append(requests)
         return iterators
-
-    # Backwards-compatible private alias (pre-cluster callers).
-    def _workload_streams(self, streams: SeededStreams):
-        return self.workload_streams(streams)
 
     def workload_column_streams(self, streams: SeededStreams):
         """The scenario's traffic as ``(kind, column-chunk iterator)`` pairs.
 
-        The mirror of :meth:`workload_streams` for the columnar executor:
-        same workload constructors, same stream names and spawns, so the
-        RNG draws — and therefore the traffic — are identical to the
-        object path by construction.
+        The columnar executor's view of the terms :meth:`workload_streams`
+        expands into requests: the same workloads on the same streams,
+        so the traffic is identical by construction.
         """
-        column_streams = []
-        if self.normal_rate_per_day > 0:
-            normal = NormalUserWorkload(
-                n_isps=self.n_isps,
-                users_per_isp=self.users_per_isp,
-                rate_per_day=self.normal_rate_per_day,
-                streams=streams,
-            )
-            column_streams.append(
-                (TrafficKind.NORMAL, normal.generate_columns(self.duration))
-            )
-        for index, spec in enumerate(self.spammers):
-            spawned = streams.spawn(f"spam{index}")
-            workload = SpamCampaignWorkload(
-                spammer=spec.address,
-                n_isps=self.n_isps,
-                users_per_isp=self.users_per_isp,
-                volume=spec.volume,
-                start=spec.start,
-                duration=spec.duration,
-                streams=spawned,
-            )
-            column_streams.append((TrafficKind.SPAM, workload.generate_columns()))
-        for index, spec in enumerate(self.zombies):
-            spawned = streams.spawn(f"zombie{index}")
-            workload = ZombieBurstWorkload(
-                zombie=spec.address,
-                n_isps=self.n_isps,
-                users_per_isp=self.users_per_isp,
-                rate_per_hour=spec.rate_per_hour,
-                start=spec.start,
-                end=spec.end,
-                streams=spawned,
-            )
-            column_streams.append(
-                (TrafficKind.ZOMBIE, workload.generate_columns())
-            )
-        for index, spec in enumerate(self.floods):
-            spawned = streams.spawn(f"flood{index}")
-            workload = FloodWorkload(
-                spec=spec,
-                n_isps=self.n_isps,
-                users_per_isp=self.users_per_isp,
-                streams=spawned,
-                name=f"flood{index}",
-            )
-            column_streams.append(
-                (TrafficKind(spec.kind), workload.generate_columns())
-            )
-        return column_streams
+        return [(kind, chunks) for kind, _, chunks in self._traffic(streams)]
 
     def run(self) -> ScenarioResult:
-        """Execute the scenario and collect the result."""
-        if self.columnar:
-            if self.engine_mode:
-                raise SimulationError(
-                    "columnar and engine modes are mutually exclusive"
-                )
+        """Execute the scenario on its executor and collect the result."""
+        if self.executor == "columnar":
             from ..columnar.executor import run_columnar
 
             return run_columnar(self)
-        if self.engine_mode:
+        if self.executor == "engine":
             return self._run_engine()
-        network = self.build_network()
-        monitor = ZombieMonitor(network)
-        for spec in self.spammers:
-            if spec.war_chest:
-                network.fund_user(spec.address, epennies=spec.war_chest)
+        return self._run_direct()
 
-        streams = SeededStreams(self.seed)
-        requests = merge_workloads(*self._workload_streams(streams))
-
+    def _run_direct(self) -> ScenarioResult:
+        network, monitor = self._deploy()
+        requests = merge_workloads(
+            *self.workload_streams(SeededStreams(self.seed))
+        )
         reconciliations: list[ReconciliationReport] = []
         cut_digests: list[str] = []
-        next_reconcile = (
-            self.reconcile_every if self.reconcile_every > 0 else None
-        )
+        period = self.reconcile_every
+        next_reconcile = period if period > 0 else None
+
+        def reconcile() -> None:
+            reconciliations.append(network.reconcile("direct"))
+            cut_digests.append(accounting_digest(network))
+
         attempted = 0
         with network.spans.span("workload.batch"):
             for request in requests:
-                if next_reconcile is not None and request.time >= next_reconcile:
-                    reconciliations.append(network.reconcile("direct"))
-                    cut_digests.append(accounting_digest(network))
-                    next_reconcile += self.reconcile_every
+                # A request may jump several boundaries: take each round.
+                while next_reconcile is not None and request.time >= next_reconcile:
+                    reconcile()
+                    next_reconcile += period
                 network.note_time(request.time)
                 network.send(request.sender, request.recipient, request.kind)
                 attempted += 1
+        # Boundaries after the last request, then the closing round.
+        while next_reconcile is not None and next_reconcile < self.duration:
+            reconcile()
+            next_reconcile += period
         network.note_time(self.duration)
-        reconciliations.append(network.reconcile("direct"))
-        cut_digests.append(accounting_digest(network))
+        reconcile()
         monitor.poll()
         result = self._collect(network, monitor, attempted, reconciliations)
         result.cut_digests = cut_digests
@@ -360,18 +309,14 @@ class Scenario:
         from ..sim.engine import Engine
 
         engine = Engine(spans=self.spans)  # type: ignore[arg-type]
-        network = self.build_network(engine=engine)
-        monitor = ZombieMonitor(network)
-        for spec in self.spammers:
-            if spec.war_chest:
-                network.fund_user(spec.address, epennies=spec.war_chest)
-
-        streams = SeededStreams(self.seed)
-        requests = merge_workloads(*self._workload_streams(streams))
+        network, monitor = self._deploy(engine=engine)
+        requests = merge_workloads(
+            *self.workload_streams(SeededStreams(self.seed))
+        )
         # The network tallies attempts itself (workload_attempted), so the
-        # streaming fast path needs no counting wrapper around the (hot)
-        # request iterator and never holds the workload in memory.
-        network.run_workload(requests, streaming=self.engine_streaming)
+        # request stream needs no counting wrapper and is never held in
+        # memory.
+        network.run_workload(requests)
         if self.reconcile_every > 0:
             t = self.reconcile_every
             while t < self.duration:
@@ -387,7 +332,7 @@ class Scenario:
         # The workload is over: cancel the perpetual midnight chain so the
         # drain window below only delivers in-flight letters. Letting it
         # fire would rebalance pools for a day the direct path never
-        # simulates, making cross-mode accounting diverge.
+        # simulates, making cross-executor accounting diverge.
         if network.midnight_handle is not None:
             network.midnight_handle.cancel()
         engine.run(until=self.duration + DAY)

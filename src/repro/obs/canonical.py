@@ -7,18 +7,17 @@ trace digest doubles as a regression oracle: any behavioural change in
 the protocol shows up as a digest change here before anything else.
 
 The scenario can be driven by any executor (``mode``): the ``direct``
-loop, the ``columnar`` batch executor, or the ``engine_stream`` event
-engine over a zero-latency link. :func:`invariant_manifest` distils a
-run down to its executor-invariant facts — the ledger-event multiset
-with timestamps/sequence/method stripped, the protocol metrics, and the
+loop, the ``columnar`` batch executor, or the ``engine`` over a
+zero-latency link. :func:`invariant_manifest` distils a run down to its
+executor-invariant facts — the ledger-event multiset with
+timestamps/sequence/method stripped, the protocol metrics, and the
 accounting digest — so CI can ``cmp`` the resulting files across modes.
 """
 
 from __future__ import annotations
 
 from ..core.config import ZmailConfig
-from ..core.scenario import Scenario, SpammerSpec, ZombieSpec
-from ..errors import SimulationError
+from ..core.scenario import EXECUTORS, Scenario, SpammerSpec, ZombieSpec
 from ..sim.clock import DAY, HOUR
 from ..sim.network import LinkSpec
 from ..sim.workload import Address
@@ -44,23 +43,7 @@ __all__ = [
 CANONICAL_SEED = 7
 
 #: Executors that can drive the canonical scenario.
-CANONICAL_MODES = ("direct", "columnar", "engine_stream")
-
-
-def _apply_mode(scenario: Scenario, mode: str) -> Scenario:
-    """Point the scenario at one of the three executors."""
-    if mode == "columnar":
-        scenario.columnar = True
-    elif mode == "engine_stream":
-        # Zero latency keeps every delivery inside the sender's epoch so
-        # executor-invariant facts line up with the synchronous modes.
-        scenario.engine_mode = True
-        scenario.link = LinkSpec(base_latency=0.0)
-    elif mode != "direct":
-        raise SimulationError(
-            f"unknown canonical mode {mode!r}; expected one of {CANONICAL_MODES}"
-        )
-    return scenario
+CANONICAL_MODES = EXECUTORS
 
 
 def canonical_config() -> ZmailConfig:
@@ -75,7 +58,7 @@ def canonical_scenario(
     mode: str = "direct",
 ) -> Scenario:
     """Build the canonical scenario (3 ISPs × 8 users, default direct)."""
-    scenario = Scenario(
+    return Scenario(
         n_isps=3,
         users_per_isp=8,
         config=canonical_config(),
@@ -92,9 +75,12 @@ def canonical_scenario(
             )
         ],
         reconcile_every=DAY,
+        executor=mode,
+        # Zero latency keeps every engine delivery inside the sender's
+        # epoch so executor-invariant facts line up with the other modes.
+        link=LinkSpec(base_latency=0.0) if mode == "engine" else None,
         tracer=tracer,
     )
-    return _apply_mode(scenario, mode)
 
 
 def run_canonical(
@@ -133,8 +119,8 @@ def invariant_manifest(
     """Run the canonical scenario and keep only executor-invariant facts.
 
     The returned manifest is byte-identical across ``direct``,
-    ``columnar`` and ``engine_stream`` for the same seed (CI compares
-    the three files with ``cmp``):
+    ``columnar`` and ``engine`` for the same seed (CI compares the
+    three files with ``cmp``):
 
     * ``event_digest`` / ``event_count`` — the additive multiset of
       ledger events with ``t``/``seq``/``method`` stripped (virtual

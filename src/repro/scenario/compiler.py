@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.config import NonCompliantMailPolicy, ZmailConfig
-from ..core.scenario import Scenario, SpammerSpec, ZombieSpec
+from ..core.scenario import EXECUTORS, Scenario, SpammerSpec, ZombieSpec
 from ..errors import SimulationError
 from ..obs.manifest import RunManifest, config_digest
 from ..obs.metrics_export import MetricsExporter
@@ -49,7 +49,7 @@ __all__ = [
 
 #: Drives a plan can run on. The first four must agree byte-for-byte on
 #: the invariant manifest; ``chaos`` reports a campaign row instead.
-PLAN_MODES = ("direct", "columnar", "engine", "cluster", "chaos")
+PLAN_MODES = EXECUTORS + ("cluster", "chaos")
 
 #: Ledger facts every executor must agree on. ``reconcile`` is absent on
 #: purpose: cluster workers take §4.4 cuts via snapshot control messages
@@ -132,7 +132,7 @@ class ScenarioPlan:
             return self.lowered().scenario(mode)
         doc = self.doc
         topo, traffic = doc["topology"], doc["traffic"]
-        scenario = Scenario(
+        return Scenario(
             n_isps=topo["n_isps"],
             users_per_isp=topo["users_per_isp"],
             compliant=self.compliant_flags(),
@@ -172,18 +172,9 @@ class ScenarioPlan:
                 for f in traffic["floods"]
             ],
             reconcile_every=doc["reconcile"]["every"],
+            executor=mode,
+            link=LinkSpec(base_latency=0.0) if mode == "engine" else None,
         )
-        if mode == "columnar":
-            scenario.columnar = True
-        elif mode == "engine":
-            scenario.engine_mode = True
-            scenario.link = LinkSpec(base_latency=0.0)
-        elif mode != "direct":
-            raise SimulationError(
-                f"unknown scenario executor mode {mode!r}; expected "
-                "'direct', 'columnar' or 'engine'"
-            )
-        return scenario
 
     def cluster_config(
         self,
@@ -407,7 +398,7 @@ def run_plan(
     cross-executor invariant :class:`RunManifest` (``None`` for the
     chaos drive, which reports its campaign row instead).
     """
-    if mode in ("direct", "columnar", "engine"):
+    if mode in EXECUTORS:
         return _run_single(plan, mode)
     if mode == "cluster":
         return _run_cluster(

@@ -3,14 +3,13 @@
 :func:`run_fuzz` drives a seeded campaign: world ``i`` is generated from
 ``derive_seed(campaign_seed, "world:i")``, compiled once, and executed
 on the full executor matrix — direct, columnar (when the world is
-all-compliant and numpy is present) and the inline cluster at a fixed
-shard count. The worlds' invariant manifests must be byte-identical
-across executors and must report conservation; any violation is a
-failure. A failing world is immediately shrunk
-(:mod:`repro.scenario.shrink`) to a minimal still-failing document, and
-both the original and the minimal world are written out as artifacts, so
-a nightly red run hands the next engineer a two-line reproduction:
-``repro fuzz --replay SEED:INDEX``.
+all-compliant) and the inline cluster at a fixed shard count. The
+worlds' invariant manifests must be byte-identical across executors and
+must report conservation; any violation is a failure. A failing world is
+immediately shrunk (:mod:`repro.scenario.shrink`) to a minimal
+still-failing document, and both the original and the minimal world are
+written out as artifacts, so a nightly red run hands the next engineer a
+two-line reproduction: ``repro fuzz --replay SEED:INDEX``.
 
 Reports contain no wall-clock timestamps: the same campaign seed yields
 byte-identical report text on every machine, red or green.

@@ -212,9 +212,9 @@ class Engine:
         heap entry + closure per message.
 
         Ordering: a stream item due at time ``t`` fires *before* any heap
-        event at the same ``t``. This matches the per-event path, where
-        workload sends are scheduled before periodic/control timers and
-        therefore carry lower sequence numbers.
+        event at the same ``t``: the order the item would take as its own
+        heap event, scheduled before the periodic/control timers and so
+        carrying a lower sequence number.
 
         Raises:
             SimulationError: from :meth:`run`, if a stream yields an item

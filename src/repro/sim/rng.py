@@ -12,14 +12,9 @@ import hashlib
 import random
 from typing import Iterator, Sequence, TypeVar
 
-try:  # numpy accelerates bulk draws; everything degrades gracefully without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
+import numpy as np
 
-__all__ = ["SeededStreams", "derive_seed", "HAVE_NUMPY"]
-
-HAVE_NUMPY = _np is not None
+__all__ = ["SeededStreams", "derive_seed"]
 
 T = TypeVar("T")
 
@@ -66,17 +61,11 @@ class SeededStreams:
         with the same name stay independent. Used by the workload fast
         paths to draw whole arrays of inter-arrival times and targets in
         one call while keeping per-seed determinism.
-
-        Raises:
-            RuntimeError: if numpy is not installed (check
-                :data:`HAVE_NUMPY` first on optional paths).
         """
-        if _np is None:  # pragma: no cover - exercised only on numpy-less hosts
-            raise RuntimeError("numpy is not available; check rng.HAVE_NUMPY")
         generator = self._np_streams.get(name)
         if generator is None:
             seed = derive_seed(self.root_seed, f"numpy:{name}")
-            generator = _np.random.Generator(_np.random.PCG64(seed))
+            generator = np.random.Generator(np.random.PCG64(seed))
             self._np_streams[name] = generator
         return generator
 

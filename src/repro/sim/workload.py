@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
+import numpy as np
+
 from ..errors import SimulationError
 from .clock import DAY
 from .rng import SeededStreams, derive_seed
@@ -48,6 +50,7 @@ __all__ = [
     "ZombieBurstWorkload",
     "FloodSpec",
     "FloodWorkload",
+    "expand_columns",
     "merge_workloads",
 ]
 
@@ -107,7 +110,9 @@ class _AddressBook(dict):
         return address
 
 
-def _expand(columns, users_per_isp: int, kind: TrafficKind) -> Iterator[SendRequest]:
+def expand_columns(
+    columns, users_per_isp: int, kind: TrafficKind
+) -> Iterator[SendRequest]:
     """The object path: column chunks as :class:`SendRequest` records.
 
     Chunks are expanded ``_CHUNK`` rows at a time, so a campaign drawn
@@ -168,7 +173,7 @@ class NormalUserWorkload:
 
     def generate(self, duration: float) -> Iterator[SendRequest]:
         """Yield requests over ``[0, duration)`` in time order."""
-        return _expand(
+        return expand_columns(
             self.generate_columns(duration), self.users_per_isp, TrafficKind.NORMAL
         )
 
@@ -184,8 +189,6 @@ class NormalUserWorkload:
         is used once, so it is seeded in place rather than kept in the
         :class:`SeededStreams` registry.
         """
-        import numpy as np
-
         n = self.n_isps * self.users_per_isp
         k = min(self.contacts_per_user, n - 1)
         if k <= 0:
@@ -205,8 +208,6 @@ class NormalUserWorkload:
 
     def generate_columns(self, duration: float):
         """Yield ``(times, sender_gids, recipient_gids)`` column chunks."""
-        import numpy as np
-
         if self.rate_per_day == 0:
             return
         table = self._contact_table()
@@ -272,12 +273,10 @@ class SpamCampaignWorkload:
 
     def generate(self) -> Iterator[SendRequest]:
         """Yield the campaign's requests in time order."""
-        return _expand(self.generate_columns(), self.users_per_isp, TrafficKind.SPAM)
+        return expand_columns(self.generate_columns(), self.users_per_isp, TrafficKind.SPAM)
 
     def generate_columns(self):
         """Yield the campaign as one ``(times, senders, recipients)`` chunk."""
-        import numpy as np
-
         if not self._targets or self.volume == 0:
             return
         rng = self._streams.get_numpy(f"{self.name}:times")
@@ -330,14 +329,12 @@ class ZombieBurstWorkload:
 
     def generate(self) -> Iterator[SendRequest]:
         """Yield the burst's requests in time order."""
-        return _expand(
+        return expand_columns(
             self.generate_columns(), self.users_per_isp, TrafficKind.ZOMBIE
         )
 
     def generate_columns(self):
         """Yield ``(times, senders, recipients)`` chunks for the burst."""
-        import numpy as np
-
         if not self._targets:
             return
         rng = self._streams.get_numpy(f"{self.name}:arrivals")
@@ -447,14 +444,12 @@ class FloodWorkload:
 
     def generate(self) -> Iterator[SendRequest]:
         """Yield the flood's requests in time order."""
-        return _expand(
+        return expand_columns(
             self.generate_columns(), self.users_per_isp, TrafficKind(self.spec.kind)
         )
 
     def generate_columns(self):
         """Yield ``(times, senders, recipients)`` chunks for the flood."""
-        import numpy as np
-
         spec = self.spec
         rng = self._streams.get_numpy(f"{self.name}:arrivals")
         users_per_isp = self.users_per_isp

@@ -10,6 +10,7 @@ both executors so the equivalence claim rests on more than the canonical
 workload; shrinking then hands back a minimal diverging scenario.
 """
 
+import dataclasses
 import importlib.util
 import pathlib
 
@@ -34,10 +35,8 @@ from repro.sim.workload import Address, merge_workloads
 
 def run_both(scenario: Scenario):
     """Run one scenario spec through the direct and columnar executors."""
-    scenario.columnar = False
-    direct = scenario.run()
-    scenario.columnar = True
-    columnar = scenario.run()
+    direct = dataclasses.replace(scenario, executor="direct").run()
+    columnar = dataclasses.replace(scenario, executor="columnar").run()
     return direct, columnar
 
 
@@ -114,28 +113,17 @@ class TestColumnStreams:
 
 
 class TestGuards:
-    def test_engine_mode_is_rejected(self):
-        scenario = canonical_scenario(mode="engine_stream")
-        scenario.columnar = True
-        with pytest.raises(SimulationError):
-            scenario.run()
-
     def test_non_compliant_deployment_is_rejected(self):
         scenario = canonical_scenario(mode="columnar")
         scenario.compliant = [True, True, False]
         with pytest.raises(SimulationError):
             scenario.run()
 
-    def test_missing_numpy_is_rejected(self, monkeypatch):
-        import repro.columnar.executor as executor
-
-        monkeypatch.setattr(executor, "HAVE_NUMPY", False)
-        with pytest.raises(SimulationError):
-            canonical_scenario(mode="columnar").run()
-
     def test_unknown_canonical_mode_is_rejected(self):
         with pytest.raises(SimulationError):
             canonical_scenario(mode="parallel")
+        with pytest.raises(SimulationError):
+            Scenario(executor="parallel")
 
 
 # -- randomized equivalence ------------------------------------------------

@@ -1,10 +1,16 @@
 """Tests for the declarative scenario runner."""
 
+import pathlib
+
 import pytest
 
 from repro.core import NonCompliantMailPolicy, ZmailConfig
 from repro.core.scenario import Scenario, ScenarioResult, SpammerSpec, ZombieSpec
+from repro.scenario import compile_scenario, run_plan
+from repro.scenario.schema import load
 from repro.sim import DAY, HOUR, Address
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples/scenarios"
 
 
 class TestBasicScenario:
@@ -113,7 +119,7 @@ class TestEngineModeScenario:
             duration=2 * DAY,
             seed=5,
             reconcile_every=DAY,
-            engine_mode=True,
+            executor="engine",
             link=LinkSpec(base_latency=0.5, jitter=0.3),
         ).run()
         assert result.conserved
@@ -126,7 +132,7 @@ class TestEngineModeScenario:
         conserved (delivery timing differs, totals must not)."""
         spec = dict(duration=DAY, seed=6, normal_rate_per_day=10.0)
         direct = Scenario(**spec).run()
-        engine = Scenario(**spec, engine_mode=True).run()
+        engine = Scenario(**spec, executor="engine").run()
         assert direct.sends_attempted == engine.sends_attempted
         assert direct.conserved and engine.conserved
 
@@ -139,8 +145,69 @@ class TestEngineModeScenario:
             duration=2 * DAY,
             seed=7,
             spammers=[SpammerSpec(Address(2, 0), volume=300)],
-            engine_mode=True,
+            executor="engine",
             link=LinkSpec(base_latency=0.2),
         ).run()
         assert result.conserved
         assert result.spam_delivered > 200
+
+
+def _sparse_world(*late_spam_starts):
+    """canonical-3isp with only the day-0 spam campaign, over 3 days.
+
+    Each extra start adds a one-message campaign there: a lone request
+    that jumps every §4.4 boundary since the quiet stretch began.
+    """
+    doc = load(EXAMPLES / "canonical-3isp.yaml")
+    traffic = doc["traffic"]
+    traffic["normal_rate_per_day"] = 0.0
+    traffic["zombies"] = []
+    traffic["duration"] = 3 * DAY
+    for start in late_spam_starts:
+        late = dict(traffic["spammers"][0], start=start, volume=1)
+        traffic["spammers"].append(late)
+    return compile_scenario(doc)
+
+
+class TestReconcileBoundaries:
+    """Every executor takes one §4.4 round per boundary before the end.
+
+    The direct loop and the columnar executor cross boundaries when a
+    request does, so they must catch up on boundaries a request jumps
+    and take those after the last request; the engine and the cluster
+    schedule every boundary on their own clocks.
+    """
+
+    @pytest.mark.parametrize(
+        "late_starts",
+        [(), (2.5 * DAY,)],
+        ids=["quiet-after-day-0", "one-request-jumps-two-boundaries"],
+    )
+    def test_round_count_and_manifest_agree_on_all_executors(
+        self, late_starts
+    ):
+        plan = _sparse_world(*late_starts)
+        runs = {
+            mode: run_plan(plan, mode)
+            for mode in ("direct", "columnar", "engine", "cluster")
+        }
+        rounds = {
+            mode: len(run["report"]["rounds"])
+            if mode == "cluster"
+            else run["report"]["reconciliation_rounds"]
+            for mode, run in runs.items()
+        }
+        # Boundaries at day 1 and day 2, then the closing round.
+        assert rounds == dict.fromkeys(runs, 3)
+        manifests = {run["manifest"].to_json() for run in runs.values()}
+        assert len(manifests) == 1
+
+    def test_direct_cut_digests_match_columnar(self):
+        plan = _sparse_world(2.5 * DAY)
+        direct = plan.scenario("direct").run()
+        columnar = plan.scenario("columnar").run()
+        assert len(direct.cut_digests) == 3
+        # The lone day-2.5 request is sent after both boundary rounds.
+        assert direct.cut_digests[0] == direct.cut_digests[1]
+        assert direct.cut_digests[1] != direct.cut_digests[2]
+        assert columnar.cut_digests == direct.cut_digests

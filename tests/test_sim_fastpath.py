@@ -1,12 +1,16 @@
 """Tests for the million-message fast path: streams, slots, timer interplay.
 
-The streaming engine mode (``Engine.add_stream`` + ``Scenario``'s
-``engine_streaming`` flag) must be a pure performance change: identical
-results to the per-event path for the same seed, correct interleaving
-with periodic timers at day boundaries, and working cancellation while a
-stream is draining. The ``__slots__`` hot-path classes must actually
-reject stray attributes, or the allocation win silently evaporates.
+The engine executor streams its workload (``Engine.add_stream``) instead
+of scheduling one heap event per message. That must be a pure
+performance change: the golden pins below were recorded from the
+per-event path before it was removed, and the streamed engine must keep
+reproducing them. Streams must also interleave correctly with periodic
+timers at day boundaries and keep cancellation working while draining.
+The ``__slots__`` hot-path classes must actually reject stray
+attributes, or the allocation win silently evaporates.
 """
+
+import hashlib
 
 import pytest
 
@@ -40,7 +44,7 @@ def _scenario(**overrides) -> Scenario:
             )
         ],
         reconcile_every=DAY,
-        engine_mode=True,
+        executor="engine",
     )
     params.update(overrides)
     return Scenario(**params)
@@ -60,30 +64,74 @@ def _balances(network):
     return state
 
 
+def _summary(sends, delivered, blocked_limit, spam, consistent=True):
+    return {
+        "sends_attempted": sends,
+        "delivered": delivered,
+        "blocked_balance": 0,
+        "blocked_limit": blocked_limit,
+        "junked": 0,
+        "spam_delivered": spam,
+        "zombies_detected": 2,
+        "reconciliation_rounds": 3,
+        "all_consistent": consistent,
+        "conserved": True,
+    }
+
+
+#: Recorded from the per-event engine path (one heap event per message)
+#: before it was removed: (seed, link, summary, SHA-256 of _balances).
+#: Every run also held total_value == expected_total_value == 3043740.
+PER_EVENT_GOLDEN = [
+    (
+        11,
+        None,
+        _summary(1784, 801, 983, 140),
+        "7a18ce1531d6a48d644cafce67c0c15f7fc97e9973bfa206723e2dd0aea938b9",
+    ),
+    (
+        11,
+        LinkSpec(base_latency=2.0, jitter=0.5),
+        _summary(1784, 801, 983, 140),
+        "7a18ce1531d6a48d644cafce67c0c15f7fc97e9973bfa206723e2dd0aea938b9",
+    ),
+    (
+        3,
+        LinkSpec(base_latency=0.5, jitter=1.0, loss_rate=0.05),
+        _summary(1793, 754, 1006, 125, consistent=False),
+        "94f172021da8f41d78472264f30db56d81fb00c4811269580101a35d94405f76",
+    ),
+    (
+        29,
+        LinkSpec(base_latency=HOUR),
+        _summary(1848, 837, 989, 147),
+        "6748a2504894254c3f3aa064f827b80cd1497c12a88f403141f4fa9bb7686bc0",
+    ),
+]
+
+
 class TestStreamingEquivalence:
     def test_streaming_matches_per_event_results(self):
-        """The old and new engine paths are bit-identical for one seed."""
-        streamed = _scenario(engine_streaming=True).run()
-        per_event = _scenario(engine_streaming=False).run()
+        """The streamed engine reproduces the per-event path's pins."""
+        for seed, link, summary, balances in PER_EVENT_GOLDEN:
+            overrides = {"seed": seed}
+            if link is not None:
+                overrides["link"] = link
+            result = _scenario(**overrides).run()
+            network = result.network
 
-        assert streamed.summary() == per_event.summary()
-        assert streamed.sends_attempted == per_event.sends_attempted
-        assert _balances(streamed.network) == _balances(per_event.network)
-        assert (
-            streamed.network.total_value()
-            == per_event.network.total_value()
-        )
-        assert (
-            streamed.network.expected_total_value()
-            == per_event.network.expected_total_value()
-        )
-        assert len(streamed.reconciliations) == len(per_event.reconciliations)
+            assert result.summary() == summary, (seed, link)
+            digest = hashlib.sha256(repr(_balances(network)).encode())
+            assert digest.hexdigest() == balances, (seed, link)
+            assert network.total_value() == 3043740
+            assert network.expected_total_value() == 3043740
+            assert len(result.reconciliations) == 3
 
     def test_streaming_matches_direct_mode_with_zero_latency(self):
         """With zero-latency links even the synchronous path agrees."""
         link = LinkSpec(base_latency=0.0, jitter=0.0, loss_rate=0.0)
-        streamed = _scenario(engine_streaming=True, link=link).run()
-        direct = _scenario(engine_mode=False).run()
+        streamed = _scenario(link=link).run()
+        direct = _scenario(executor="direct").run()
 
         assert streamed.summary() == direct.summary()
         assert _balances(streamed.network) == _balances(direct.network)

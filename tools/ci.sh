@@ -29,10 +29,10 @@
 #    then again at 4 shards under the bounded-lag asynchronous drive
 #    (--lag 2, streaming reconciliation): its manifest must byte-match
 #    the lockstep one, the lockstep-as-oracle contract.
-# 7. Runs the columnar determinism smoke: the canonical scenario driven
-#    by the columnar batch executor and by the engine must produce
-#    byte-identical executor-invariant manifests (cmp) — ledger event
-#    multiset, protocol metrics and accounting digest all agree. The
+# 7. Runs the executor determinism smoke: the canonical scenario driven
+#    by the direct loop, the columnar batch executor and the engine must
+#    produce byte-identical executor-invariant manifests (cmp) — ledger
+#    event multiset, protocol metrics and accounting digest all agree. The
 #    throughput gate additionally requires the committed columnar run
 #    to hold a >=3x lead over engine_stream at full scale.
 # 8. Runs the store soak smoke: a short seeded soak with two injected
@@ -104,7 +104,6 @@ fi
 echo "== macro smoke benchmark (${MESSAGES} messages) =="
 python benchmarks/bench_macro_scale.py \
     --messages "${MESSAGES}" \
-    --verify-messages "${MESSAGES}" \
     --output /tmp/BENCH_smoke.json
 
 echo "== throughput regression check (tolerance ${TOLERANCE}) =="
@@ -217,15 +216,16 @@ cmp /tmp/cluster_manifest_1.json /tmp/cluster_manifest_lag.json \
 echo "bounded-lag manifest byte-identical to lockstep"
 
 COLUMNAR_SEED="${CI_COLUMNAR_SEED:-7}"
-echo "== columnar determinism smoke (seed ${COLUMNAR_SEED}, columnar vs engine_stream) =="
-PYTHONPATH=src python -m repro trace --seed "${COLUMNAR_SEED}" \
-    --mode columnar \
-    --invariant-manifest /tmp/invariant_columnar.json >/dev/null
-PYTHONPATH=src python -m repro trace --seed "${COLUMNAR_SEED}" \
-    --mode engine_stream \
-    --invariant-manifest /tmp/invariant_engine.json >/dev/null
-cmp /tmp/invariant_columnar.json /tmp/invariant_engine.json \
-    || { echo "columnar executor diverges from the engine"; exit 1; }
+echo "== executor determinism smoke (seed ${COLUMNAR_SEED}, direct vs columnar vs engine) =="
+for mode in direct columnar engine; do
+    PYTHONPATH=src python -m repro trace --seed "${COLUMNAR_SEED}" \
+        --mode "${mode}" \
+        --invariant-manifest "/tmp/invariant_${mode}.json" >/dev/null
+done
+cmp /tmp/invariant_direct.json /tmp/invariant_columnar.json \
+    || { echo "columnar executor diverges from the direct loop"; exit 1; }
+cmp /tmp/invariant_direct.json /tmp/invariant_engine.json \
+    || { echo "engine diverges from the direct loop"; exit 1; }
 echo "invariant manifests byte-identical across executors"
 
 SOAK_SEED="${CI_SOAK_SEED:-7}"

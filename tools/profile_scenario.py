@@ -11,7 +11,7 @@ Usage::
 
     python tools/profile_scenario.py                       # 100k, direct
     python tools/profile_scenario.py --mode columnar
-    python tools/profile_scenario.py --mode engine_stream
+    python tools/profile_scenario.py --mode engine
     python tools/profile_scenario.py --top 40 --sort tottime
     python tools/profile_scenario.py --output /tmp/run.pstats
 
@@ -32,7 +32,8 @@ for entry in (ROOT / "src", ROOT / "benchmarks"):
     if str(entry) not in sys.path:
         sys.path.insert(0, str(entry))
 
-from bench_macro_scale import MODES, canonical_scenario  # noqa: E402
+from bench_macro_scale import canonical_scenario  # noqa: E402
+from repro.core.scenario import EXECUTORS  # noqa: E402
 
 
 def main() -> None:
@@ -43,7 +44,7 @@ def main() -> None:
         default=100_000,
         help="scenario scale (default 100k: representative and quick)",
     )
-    parser.add_argument("--mode", choices=MODES, default="direct")
+    parser.add_argument("--mode", choices=EXECUTORS, default="direct")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--top", type=int, default=25, metavar="N",
@@ -62,14 +63,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    scenario = canonical_scenario(args.messages, args.seed)
-    if args.mode == "engine_stream":
-        scenario.engine_mode = True
-    elif args.mode == "engine_events":
-        scenario.engine_mode = True
-        scenario.engine_streaming = False
-    elif args.mode == "columnar":
-        scenario.columnar = True
+    scenario = canonical_scenario(args.messages, args.seed, args.mode)
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
