@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Observability overhead benchmark: what does tracing cost?
 
-Runs the canonical 3-ISP scenario (the one behind ``repro trace``) in
-three configurations and records the results in ``BENCH_obs.json``:
+Runs the canonical 3-ISP scenario (``examples/scenarios/canonical-3isp.yaml``,
+the world ``repro run --trace`` traces in the docs and tests) in three
+configurations and records the results in ``BENCH_obs.json``:
 
 * ``off``   — no recorder at all (every emit site is one attribute load
   plus one false branch; this is what production-scale runs pay);
@@ -42,14 +43,15 @@ import time
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
+CANONICAL = ROOT / "examples" / "scenarios" / "canonical-3isp.yaml"
 
 MODES = ("off", "ring", "jsonl")
 
 
 def run_once(mode: str, seed: int) -> dict:
     """One canonical run under ``mode``; returns timing and outcome."""
-    from repro.obs.canonical import canonical_scenario
     from repro.obs.trace import JsonlSink, RingSink, TraceRecorder
+    from repro.scenario import compile_scenario, load
 
     sink = None
     devnull = None
@@ -65,7 +67,10 @@ def run_once(mode: str, seed: int) -> dict:
     else:
         raise SystemExit(f"unknown mode {mode!r}")
 
-    scenario = canonical_scenario(seed=seed, tracer=recorder)
+    doc = load(str(CANONICAL))
+    doc["seed"] = seed
+    scenario = compile_scenario(doc).scenario()
+    scenario.tracer = recorder
     start = time.perf_counter()
     result = scenario.run()
     elapsed = time.perf_counter() - start
@@ -112,7 +117,10 @@ def bench_mode(mode: str, seed: int, repeats: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="override the document's seed (default: its seed, 7)",
+    )
     parser.add_argument(
         "--output",
         type=pathlib.Path,
@@ -126,9 +134,9 @@ def main() -> None:
 
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
-    from repro.obs.canonical import CANONICAL_SEED
+    from repro.scenario import load
 
-    seed = CANONICAL_SEED if args.seed is None else args.seed
+    seed = load(str(CANONICAL))["seed"] if args.seed is None else args.seed
 
     results: dict[str, dict] = {}
     for mode in MODES:

@@ -20,18 +20,11 @@ Layers:
 * :mod:`.crash` — :class:`CrashController`, journal-based crash/restart
   on :mod:`repro.core.persistence`;
 * :mod:`.deployment` — :class:`ChaosDeployment`, the wired system;
-* :mod:`.campaign` — campaign specs, the runner and report formatting.
+* :mod:`.campaign` — :func:`run_cell`, one drained fault cell with a
+  verdict: the ``repro run DOC --mode chaos`` drive.
 """
 
-from .campaign import (
-    DEFAULT_OVERLOAD_SPEC,
-    DEFAULT_SPEC,
-    OVERLOAD_COLUMNS,
-    format_report,
-    load_spec,
-    run_campaign,
-    run_cell,
-)
+from .campaign import run_cell
 from .crash import CrashController, CrashEvent
 from .deployment import ChaosDeployment
 from .faults import (
@@ -50,12 +43,6 @@ from .monitors import (
 from .snapshot import RetryingSnapshotCoordinator
 
 __all__ = [
-    "DEFAULT_SPEC",
-    "DEFAULT_OVERLOAD_SPEC",
-    "OVERLOAD_COLUMNS",
-    "format_report",
-    "load_spec",
-    "run_campaign",
     "run_cell",
     "CrashController",
     "CrashEvent",

@@ -11,8 +11,9 @@ bank/snapshot coordinator — batch at barriers, or streaming through a
 :class:`~repro.core.reconcile.StreamingReconciler` — and the digest
 merge in the parent (:mod:`~repro.cluster.runtime`). Results are
 bit-identical across shard counts, drive modes and schedulers —
-``repro cluster`` at N=1 lockstep and N=4 ``--lag 2`` writes the same
-manifest bytes — which is what makes multi-core speedup safe to take:
+``repro run examples/scenarios/cluster-8x16.yaml --mode cluster`` at
+N=1 lockstep and N=4 ``--lag 2`` writes the same manifest bytes — which
+is what makes multi-core speedup safe to take:
 the parallel run *is* the sequential run.
 """
 

@@ -1,9 +1,10 @@
-"""Canonical cluster scenarios: one spec for CLI, CI smoke and tests.
+"""Size-parametric cluster scenarios for tests and benchmarks.
 
-The shard-invariance oracle only works if every harness runs *exactly*
-the same scenario — the CLI, the CI determinism smoke and the test suite
-all build theirs here so a digest mismatch always means the runtime
-diverged, never that two call sites drifted apart.
+The shard-invariance tests sweep ISP and user counts, so they build
+their worlds here instead of writing one document per size. The CLI
+and the CI smoke run the fixed document
+``examples/scenarios/cluster-8x16.yaml``, pinned equal to
+``cluster_scenario(9, n_isps=8, users_per_isp=16, days=1)``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def cluster_scenario(
     Eight compliant ISPs by default, legitimate mail plus (optionally)
     one funded spam campaign and one zombie outbreak, reconciled daily —
     the same ingredient list as the macro benchmark's canonical
-    scenario, parameterized so the CLI can scale it up or down.
+    scenario, parameterized so callers can scale it up or down.
     """
     if n_isps < 2:
         raise ValueError(f"a cluster scenario needs >= 2 ISPs, got {n_isps}")

@@ -18,7 +18,8 @@ The lockstep cycle ``k`` (virtual barrier time ``B_k = k * epoch_len``):
    ``(src_isp, seq)`` — a shard-invariant order; if a reconcile cut is
    due, assert zero letters in flight and take the §4.4 snapshot of
    every local ISP;
-3. journal the post-barrier durable state (atomic write-then-rename);
+3. journal the post-barrier durable state (a sealed, checksummed
+   record; atomic write-then-rename);
 4. run epoch ``k``: consume workload requests with ``time <
    B_{k+1}`` strictly — boundary requests belong to the next epoch, on
    the far side of the cut;
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import json
 import os
 import pickle
 from dataclasses import dataclass
@@ -62,10 +62,12 @@ from ..core.protocol import ZmailNetwork
 from ..core.scenario import Scenario
 from ..core.zombie import ZombieMonitor
 from ..errors import SimulationError
+from ..obs.manifest import mergeable_accounting
 from ..obs.schema import LEDGER_EVENT_TYPES
 from ..obs.trace import AdditiveMultisetDigest, DigestSink, TraceRecorder
 from ..sim.rng import SeededStreams, derive_seed
 from ..sim.workload import merge_workloads
+from ..store.codec import seal, unseal
 from .links import (
     InterShardLink,
     LetterSequencer,
@@ -299,29 +301,12 @@ class ShardWorker:
         monitor = ZombieMonitor(network)
         monitor.poll()
         cut, self._pending_cut = self._pending_cut, None
-        accounting: dict[str, object] = {
-            "isps": {},
-            "bank_deposits": network.bank.total_deposits(),
-            "external_deposit": network._external_deposit,
-            "total_value": network.total_value(),
-            "expected_total_value": network.expected_total_value(),
-        }
-        for isp_id, isp in sorted(network.compliant_isps().items()):
-            accounting["isps"][str(isp_id)] = {
-                "users": [
-                    [user.user_id, user.account, user.balance]
-                    for user in isp.ledger.users()
-                ],
-                "pool": isp.ledger.pool,
-                "cash": isp.ledger.cash,
-                "bank_account": network.bank.account_balance(isp_id),
-            }
         return {
             "type": "final",
             "shard": self.spec.shard_id,
             "cycle": self._last_barrier,
             "cut": cut,
-            "accounting": accounting,
+            "accounting": mergeable_accounting(network),
             "counters": dict(network.metrics.snapshot()["counters"]),
             "digests": {
                 "events": self.events_acc.state_dict(),
@@ -392,12 +377,24 @@ class ShardWorker:
         }
         tmp = f"{path}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(state, handle, sort_keys=True)
+            handle.write(seal(state, **self._journal_identity()))
         os.replace(tmp, path)  # atomic: a crash mid-write keeps the old one
+
+    def _journal_identity(self) -> dict[str, str]:
+        return {"kind": "shard-journal", "key": f"shard{self.spec.shard_id}"}
 
     def _restore(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as handle:
-            state = json.load(handle)
+            text = handle.read()
+        try:
+            state = unseal(text, **self._journal_identity())
+        except SimulationError as exc:
+            # A flipped digit in a balance must never restore a wrong
+            # ledger: the checksum catches it, and so it stops the run.
+            raise SimulationError(
+                f"shard {self.spec.shard_id}: corrupt or unsupported "
+                f"journal format in {path}: {exc}"
+            ) from exc
         if state.get("format") != JOURNAL_FORMAT:
             raise SimulationError(
                 f"unsupported shard journal format {state.get('format')!r}"

@@ -7,13 +7,13 @@ Four pieces, one discipline (virtual time in digests, wall clock never):
 * :mod:`~repro.obs.spans` — wall-clock span timing for profiling, kept
   strictly out of every digest.
 * :mod:`~repro.obs.metrics_export` — one namespaced registry over all
-  ad-hoc metrics, dumpable as JSON (``repro metrics``).
+  ad-hoc metrics, dumpable as JSON (the ``metrics`` key of
+  ``repro run --report``).
 * :mod:`~repro.obs.manifest` — the run identity card: seed, config
   digest, format versions, event/metric digests.
 
-``repro trace`` runs the canonical scenario in :mod:`~repro.obs.canonical`
-and writes the JSONL trace plus its manifest; two same-seed runs produce
-byte-identical files (CI compares them with ``cmp``).
+``repro run DOC --trace PATH`` writes a document's JSONL trace plus its
+manifest; two same-seed runs produce byte-identical files.
 """
 
 from .manifest import (
@@ -22,6 +22,7 @@ from .manifest import (
     accounting_digest,
     build_manifest,
     config_digest,
+    mergeable_accounting,
 )
 from .metrics_export import (
     METRICS_FORMAT_VERSION,
@@ -74,6 +75,7 @@ __all__ = [
     "build_manifest",
     "config_digest",
     "accounting_digest",
+    "mergeable_accounting",
     "EVENT_TYPES",
     "LEDGER_EVENT_TYPES",
     "TraceSchemaError",

@@ -28,6 +28,7 @@ __all__ = [
     "MANIFEST_FORMAT_VERSION",
     "RunManifest",
     "accounting_digest",
+    "mergeable_accounting",
     "config_digest",
     "build_manifest",
 ]
@@ -88,6 +89,36 @@ def accounting_digest(network) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def mergeable_accounting(network) -> dict[str, object]:
+    """Every balance in the system, in the shard-mergeable shape.
+
+    The dict each cluster shard worker reports at the end of a run and
+    :func:`repro.cluster.runtime._merge` sums across shards; the scenario
+    compiler digests the same dict for single-process runs, so a merged
+    cluster run and a direct run digest identically. Unlike
+    :func:`accounting_digest` it leaves out letters in flight, which only
+    a quiesced run can compare across executors.
+    """
+    accounting: dict[str, object] = {
+        "isps": {},
+        "bank_deposits": network.bank.total_deposits(),
+        "external_deposit": network._external_deposit,
+        "total_value": network.total_value(),
+        "expected_total_value": network.expected_total_value(),
+    }
+    for isp_id, isp in sorted(network.compliant_isps().items()):
+        accounting["isps"][str(isp_id)] = {
+            "users": [
+                [user.user_id, user.account, user.balance]
+                for user in isp.ledger.users()
+            ],
+            "pool": isp.ledger.pool,
+            "cash": isp.ledger.cash,
+            "bank_account": network.bank.account_balance(isp_id),
+        }
+    return accounting
+
+
 @dataclass
 class RunManifest:
     """Everything needed to decide whether two runs are the same run."""
@@ -120,7 +151,7 @@ class RunManifest:
 
     def to_json(self) -> str:
         """Pretty, sorted serialization (ends with a newline) — the byte
-        form ``repro trace`` writes and CI compares with ``cmp``."""
+        form ``repro run --manifest`` writes and CI compares with ``cmp``."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def digest(self) -> str:

@@ -32,8 +32,13 @@ from typing import Any
 from ..core.config import NonCompliantMailPolicy, ZmailConfig
 from ..core.scenario import EXECUTORS, Scenario, SpammerSpec, ZombieSpec
 from ..errors import SimulationError
-from ..obs.manifest import RunManifest, config_digest
-from ..obs.metrics_export import MetricsExporter
+from ..obs.manifest import (
+    RunManifest,
+    build_manifest,
+    config_digest,
+    mergeable_accounting,
+)
+from ..obs.metrics_export import MetricsExporter, export_network
 from ..obs.trace import AdditiveMultisetDigest, DigestSink, TraceRecorder
 from ..sim.network import LinkSpec
 from ..sim.workload import Address, FloodSpec
@@ -198,12 +203,11 @@ class ScenarioPlan:
     def campaign(self) -> tuple[dict[str, Any], dict[str, Any]]:
         """The document as a one-cell chaos campaign ``(spec, cell)``.
 
-        The cell's name defaults to the document name (override with
-        ``chaos.cell``) and its seed derives exactly as
-        :func:`repro.chaos.campaign.run_cell` derives it, so a document
-        migrated from a hand-rolled campaign cell — same campaign seed,
-        same cell name — reproduces that cell's report row byte for
-        byte.
+        The pair :func:`repro.chaos.campaign.run_cell` drives: shared
+        deployment, workload and drain settings, and the cell's faults,
+        crashes and floods. The cell's name defaults to the document
+        name (override with ``chaos.cell``); ``run_cell`` derives the
+        cell seed from the document seed and that name.
         """
         doc = self.doc
         deployment: dict[str, Any] = {
@@ -220,8 +224,6 @@ class ScenarioPlan:
         if overload.pop("enabled"):
             deployment["overload"] = overload
         spec = {
-            "name": doc["name"],
-            "seed": doc["seed"],
             "deployment": deployment,
             "workload": {
                 "rate_per_day": doc["traffic"]["normal_rate_per_day"],
@@ -235,7 +237,6 @@ class ScenarioPlan:
             "crashes": [dict(c) for c in doc["crashes"]],
             "floods": [dict(f) for f in doc["traffic"]["floods"]],
         }
-        spec["cells"] = [cell]
         return spec, cell
 
 
@@ -246,36 +247,6 @@ def compile_scenario(source: dict[str, Any] | str) -> ScenarioPlan:
 
 
 # -- invariant manifest ------------------------------------------------------
-
-
-def _invariant_accounting(network) -> dict[str, Any]:
-    """Every balance in the system, in the cluster's mergeable shape.
-
-    Key-for-key the dict :meth:`repro.cluster.worker.ShardWorker
-    ._final_outputs` builds and :func:`repro.cluster.runtime._merge`
-    sums, so a single-process run digests identically to a merged
-    cluster run. (``accounting_digest`` in :mod:`repro.obs.manifest`
-    tracks in-flight letters too; quiesced cross-executor comparison
-    needs the shard-mergeable subset.)
-    """
-    accounting: dict[str, Any] = {
-        "isps": {},
-        "bank_deposits": network.bank.total_deposits(),
-        "external_deposit": network._external_deposit,
-        "total_value": network.total_value(),
-        "expected_total_value": network.expected_total_value(),
-    }
-    for isp_id, isp in sorted(network.compliant_isps().items()):
-        accounting["isps"][str(isp_id)] = {
-            "users": [
-                [user.user_id, user.account, user.balance]
-                for user in isp.ledger.users()
-            ],
-            "pool": isp.ledger.pool,
-            "cash": isp.ledger.cash,
-            "bank_account": network.bank.account_balance(isp_id),
-        }
-    return accounting
 
 
 def _accounting_digest(accounting: dict[str, Any]) -> str:
@@ -323,16 +294,32 @@ def _manifest(
     )
 
 
-def _run_single(plan: ScenarioPlan, mode: str) -> dict[str, Any]:
+class _Tee:
+    """A trace sink that hands every line to each of several sinks."""
+
+    __slots__ = ("_sinks",)
+
+    def __init__(self, *sinks) -> None:
+        self._sinks = sinks
+
+    def accept(self, line: str) -> None:
+        for sink in self._sinks:
+            sink.accept(line)
+
+
+def _run_single(plan: ScenarioPlan, mode: str, sink=None) -> dict[str, Any]:
     ledger_acc = AdditiveMultisetDigest(include_types=INVARIANT_EVENT_TYPES)
-    recorder = TraceRecorder(sink=DigestSink(ledger_acc))
+    digests = DigestSink(ledger_acc)
+    recorder = TraceRecorder(
+        sink=digests if sink is None else _Tee(digests, sink)
+    )
     scenario = plan.scenario(mode)
     scenario.tracer = recorder
     result = scenario.run()
     network = result.network
     exporter = MetricsExporter()
     exporter.add_static("zmail", network.metrics.snapshot()["counters"])
-    accounting = _invariant_accounting(network)
+    accounting = mergeable_accounting(network)
     manifest = _manifest(
         plan,
         ledger_count=ledger_acc.count,
@@ -342,12 +329,30 @@ def _run_single(plan: ScenarioPlan, mode: str) -> dict[str, Any]:
         sends_attempted=result.sends_attempted,
         zombies_detected=len(result.zombie_detections),
     )
+    # The full trace's identity card: every event in emission order and
+    # the unified metrics export, both executor-specific (the engine adds
+    # its own namespaces), so it compares runs on one executor.
+    metrics = export_network(network)
+    trace_manifest = build_manifest(
+        seed=plan.seed,
+        config=scenario.config,
+        recorder=recorder,
+        exporter=metrics,
+        extra={
+            "scenario": plan.name,
+            "mode": mode,
+            "sends_attempted": result.sends_attempted,
+            "conserved": result.conserved,
+        },
+    )
     return {
         "mode": mode,
         "manifest": manifest,
+        "trace_manifest": trace_manifest,
         "report": {
             **result.summary(),
             "cut_digests": list(result.cut_digests),
+            "metrics": metrics.export(),
         },
     }
 
@@ -391,15 +396,24 @@ def run_plan(
     shards: int | None = None,
     lag: int | None = None,
     cluster_mode: str = "inline",
+    sink=None,
 ) -> dict[str, Any]:
     """Execute ``plan`` on one drive.
 
     Returns ``{"mode", "manifest", "report"}`` where ``manifest`` is the
     cross-executor invariant :class:`RunManifest` (``None`` for the
-    chaos drive, which reports its campaign row instead).
+    chaos drive, which reports its campaign row instead). The
+    single-process executors also return ``trace_manifest``, the run's
+    full-trace manifest, and their report carries the unified metrics
+    export under ``metrics``; ``sink`` (anything with ``accept(line)``,
+    e.g. a :class:`~repro.obs.trace.JsonlSink`) receives every trace
+    line of such a run. ``shards``, ``lag`` and ``cluster_mode`` apply
+    to the cluster drive only.
     """
     if mode in EXECUTORS:
-        return _run_single(plan, mode)
+        return _run_single(plan, mode, sink)
+    if sink is not None:
+        raise SimulationError(f"the {mode} drive cannot stream a trace")
     if mode == "cluster":
         return _run_cluster(
             plan, shards=shards, lag=lag, cluster_mode=cluster_mode

@@ -15,18 +15,15 @@ import pathlib
 import pytest
 
 from repro.chaos import (
-    DEFAULT_SPEC,
     ChaosDeployment,
     CrashEvent,
     FaultSpec,
     FaultyNetwork,
     NO_FAULTS,
-    format_report,
-    load_spec,
-    run_campaign,
 )
 from repro.core import ZmailConfig
 from repro.errors import SimulationError
+from repro.scenario import compile_scenario, load, run_plan
 from repro.sim import Engine, LinkSpec, SeededStreams
 from repro.sim.rng import derive_seed
 from repro.sim.workload import NormalUserWorkload
@@ -213,62 +210,64 @@ class TestDifferentialRecovery:
         assert digest(one.network) != digest(other.network)
 
 
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / (
+    "examples/scenarios"
+)
+#: The built-in chaos cells, one scenario document each.
+CELLS = ("clean", "lossy-dup-reorder", "crashy")
+
+
+def run_cell_doc(cell, seed=None):
+    """The chaos-mode report row of ``chaos-<cell>.yaml`` (``seed`` as
+    ``repro run --seed`` overrides it)."""
+    doc = load(str(SCENARIOS / f"chaos-{cell}.yaml"))
+    if seed is not None:
+        doc["seed"] = seed
+    return run_plan(compile_scenario(doc), "chaos")["report"]
+
+
 class TestCampaign:
     def test_default_campaign_passes_and_is_bit_reproducible(self):
-        first = run_campaign(DEFAULT_SPEC, seed=7)
-        second = run_campaign(DEFAULT_SPEC, seed=7)
-        assert first["passed"]
-        assert json.dumps(first, sort_keys=True) == json.dumps(
-            second, sort_keys=True
-        )
-        assert format_report(first) == format_report(second)
+        for cell in CELLS:
+            first = run_cell_doc(cell, seed=7)
+            second = run_cell_doc(cell, seed=7)
+            assert first["passed"], cell
+            assert first["cell"] == cell
+            assert json.dumps(first, sort_keys=True) == json.dumps(
+                second, sort_keys=True
+            )
 
     def test_different_seed_different_report(self):
-        base = run_campaign(DEFAULT_SPEC, seed=7)
-        other = run_campaign(DEFAULT_SPEC, seed=99)
-        assert other["passed"]
-        digests = {row["cell"]: row["digest"] for row in base["cells"]}
-        other_digests = {row["cell"]: row["digest"] for row in other["cells"]}
-        assert digests != other_digests
+        # `repro run DOC --mode chaos --seed 99`: the cell seed derives
+        # from the document seed, so every row moves, passes, and
+        # repeats byte for byte.
+        base = {cell: run_cell_doc(cell) for cell in CELLS}
+        other = {cell: run_cell_doc(cell, seed=99) for cell in CELLS}
+        for cell in CELLS:
+            assert other[cell]["passed"], cell
+            assert other[cell]["seed"] != base[cell]["seed"]
+            assert other[cell]["digest"] != base[cell]["digest"]
+            assert run_cell_doc(cell, seed=99) == other[cell]
 
     def test_crashy_cell_recovers_with_monitors_green(self):
         """Acceptance criterion: ISP crash + restart + dup/reorder over
         reliable links ends with all monitors green."""
-        report = run_campaign(DEFAULT_SPEC, seed=7)
-        crashy = next(r for r in report["cells"] if r["cell"] == "crashy")
+        crashy = run_cell_doc("crashy", seed=7)
         assert crashy["passed"]
         assert crashy["crashes"] == 2
         assert crashy["restarts"] == 2
         assert crashy["violations"] == 0
         assert crashy["first_violation"] is None
 
-    def test_report_table_mentions_every_cell(self):
-        report = run_campaign(DEFAULT_SPEC, seed=7)
-        table = format_report(report)
-        for cell in DEFAULT_SPEC["cells"]:
-            assert cell["name"] in table
-        assert "PASS" in table
+    def test_report_table_mentions_every_cell(self, capsys):
+        from repro.cli import main
 
-    def test_load_spec_json_and_yaml(self, tmp_path):
-        spec = dict(DEFAULT_SPEC)
-        json_path = tmp_path / "spec.json"
-        json_path.write_text(json.dumps(spec))
-        assert load_spec(json_path)["cells"] == DEFAULT_SPEC["cells"]
-
-        yaml = pytest.importorskip("yaml")
-        yaml_path = tmp_path / "spec.yaml"
-        yaml_path.write_text(yaml.safe_dump(spec))
-        assert load_spec(yaml_path)["cells"] == DEFAULT_SPEC["cells"]
-
-    def test_load_spec_rejects_garbage(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json: [nor yaml")
-        with pytest.raises(SimulationError):
-            load_spec(bad)
-        empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps({"name": "x", "seed": 1}))
-        with pytest.raises(SimulationError, match="cell"):
-            load_spec(empty)
+        for cell in CELLS:
+            doc = str(SCENARIOS / f"chaos-{cell}.yaml")
+            assert main(["run", doc, "--mode", "chaos"]) == 0
+            out = capsys.readouterr().out
+            assert f"chaos cell:      {cell} (seed " in out
+            assert "passed:          True" in out
 
 
 class TestCli:
@@ -279,19 +278,23 @@ class TestCli:
         return code, capsys.readouterr().out
 
     def test_chaos_cli_stdout_is_byte_identical_across_runs(self, capsys):
-        code1, out1 = self.run_cli(["chaos", "--seed", "7"], capsys)
-        code2, out2 = self.run_cli(["chaos", "--seed", "7"], capsys)
-        assert code1 == 0 and code2 == 0
-        assert out1 == out2
-        assert "PASS" in out1
+        for cell in CELLS:
+            argv = ["run", str(SCENARIOS / f"chaos-{cell}.yaml"),
+                    "--mode", "chaos", "--seed", "7"]
+            code1, out1 = self.run_cli(argv, capsys)
+            code2, out2 = self.run_cli(argv, capsys)
+            assert code1 == 0 and code2 == 0
+            assert out1 == out2
+            assert "passed:          True" in out1
 
     def test_chaos_cli_json_output(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out = self.run_cli(
-            ["chaos", "--seed", "7", "--json", "--out", str(out_path)],
+            ["run", str(SCENARIOS / "chaos-crashy.yaml"), "--mode", "chaos",
+             "--seed", "7", "--report", str(out_path)],
             capsys,
         )
         assert code == 0
-        parsed = json.loads(out)
+        parsed = json.loads(out_path.read_text())
         assert parsed["passed"]
-        assert json.loads(out_path.read_text()) == parsed
+        assert parsed == run_cell_doc("crashy", seed=7)

@@ -1,8 +1,17 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SCENARIOS = os.path.join(
+    os.path.dirname(__file__), "..", "examples", "scenarios"
+)
+CANONICAL = os.path.join(SCENARIOS, "canonical-3isp.yaml")
+CLUSTER = os.path.join(SCENARIOS, "cluster-8x16.yaml")
 
 
 class TestParser:
@@ -19,8 +28,8 @@ class TestParser:
             ["adoption", "--isps", "50"],
             ["spec-check", "--steps", "100", "--cheat"],
             ["zombie", "--limit", "10"],
-            ["cluster", "--shards", "4"],
-            ["cluster", "--mode", "inline", "--epoch-hours", "2"],
+            ["run", CLUSTER, "--mode", "cluster", "--shards", "4"],
+            ["run", CLUSTER, "--seed", "3", "--trace", "t.jsonl"],
         ):
             args = parser.parse_args(command)
             assert args.command == command[0]
@@ -29,22 +38,32 @@ class TestParser:
         """Seed handling is uniform: no subcommand hardcodes its RNG."""
         parser = build_parser()
         for command in (
-            "quickstart",
-            "breakeven",
-            "compare",
-            "adoption",
-            "spec-check",
-            "zombie",
-            "scenario",
-            "audit",
-            "cluster",
-            "chaos",
-            "overload",
-            "trace",
-            "metrics",
+            ["quickstart"],
+            ["breakeven"],
+            ["compare"],
+            ["adoption"],
+            ["spec-check"],
+            ["zombie"],
+            ["audit"],
+            ["soak"],
+            ["run", CANONICAL],
+            ["fuzz"],
+            ["arena"],
         ):
-            args = parser.parse_args([command, "--seed", "123"])
-            assert args.seed == 123, f"{command} ignored --seed"
+            args = parser.parse_args(command + ["--seed", "123"])
+            assert args.seed == 123, f"{command[0]} ignored --seed"
+
+    def test_subcommand_set(self):
+        parser = build_parser()
+        commands = next(
+            action for action in parser._actions
+            if action.dest == "command"
+        ).choices
+        assert sorted(commands) == [
+            "adoption", "arena", "audit", "breakeven", "compare", "fuzz",
+            "quickstart", "run", "selftest", "serve", "soak",
+            "spec-check", "zombie",
+        ]
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -92,10 +111,20 @@ class TestCommands:
 
 
 class TestExtendedCommands:
-    def test_scenario(self, capsys):
-        assert main(["scenario", "--days", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "all_consistent" in out and "True" in out
+    def test_scenario(self, tmp_path, capsys):
+        # The mixed 4-ISP world, shortened to 2 days.
+        from repro.scenario import load
+
+        doc = load(os.path.join(SCENARIOS, "mixed-4isp.yaml"))
+        doc["traffic"]["duration"] = 2 * 86400.0
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        assert main(["run", str(path), "--report", str(report)]) == 0
+        assert "conserved:       True" in capsys.readouterr().out
+        summary = json.loads(report.read_text())
+        assert summary["all_consistent"] is True
+        assert summary["reconciliation_rounds"] == 2
 
     def test_audit_catches_minting(self, capsys):
         assert main(["audit", "--mint", "5000"]) == 0
@@ -108,11 +137,54 @@ class TestExtendedCommands:
         assert "all clear" in out
 
 
+class TestRunOptions:
+    """`repro run` refuses options its drive would silently ignore."""
+
+    @pytest.mark.parametrize("extra", [
+        ["--shards", "4"],
+        ["--lag", "2"],
+        ["--cluster-mode", "spawn"],
+        ["--cluster-mode", "inline"],
+    ])
+    @pytest.mark.parametrize("mode", ["direct", "columnar", "engine",
+                                      "chaos"])
+    def test_cluster_options_need_cluster_mode(self, mode, extra, capsys):
+        assert main(["run", CANONICAL, "--mode", mode] + extra) == 2
+        assert f"{extra[0]} cannot be used with --mode {mode}" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("mode", ["cluster", "chaos"])
+    def test_trace_needs_a_single_process_executor(
+        self, mode, tmp_path, capsys
+    ):
+        trace = tmp_path / "t.jsonl"
+        assert main(
+            ["run", CANONICAL, "--mode", mode, "--trace", str(trace)]
+        ) == 2
+        assert "--trace cannot be used" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_seed_overrides_the_document_seed(self, tmp_path, capsys):
+        paths = [tmp_path / f"{n}.json" for n in ("a", "b", "c")]
+        for path, seed in zip(paths, ("7", "8", "8")):
+            assert main([
+                "run", CANONICAL, "--seed", seed, "--manifest", str(path),
+            ]) == 0
+        capsys.readouterr()
+        manifests = [json.loads(p.read_text()) for p in paths]
+        assert [m["seed"] for m in manifests] == [7, 8, 8]
+        assert manifests[0]["event_digest"] != manifests[1]["event_digest"]
+        assert paths[1].read_bytes() == paths[2].read_bytes()
+
+
 class TestTraceCommand:
-    def test_trace_prints_digests(self, capsys):
-        assert main(["trace"]) == 0
+    def test_trace_prints_digests(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", CANONICAL, "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "event digest:" in out
+        assert "trace events:    5301" in out
+        assert "trace digest:" in out
         assert "manifest digest:" in out
         assert "conserved:       True" in out
 
@@ -121,7 +193,8 @@ class TestTraceCommand:
         from repro.obs.schema import validate_trace_lines
 
         out_path = tmp_path / "trace.jsonl"
-        assert main(["trace", "--out", str(out_path)]) == 0
+        assert main(["run", CANONICAL, "--mode", "columnar",
+                     "--trace", str(out_path)]) == 0
         capsys.readouterr()
         lines = out_path.read_text().splitlines()
         assert validate_trace_lines(lines) == len(lines) > 0
@@ -129,11 +202,13 @@ class TestTraceCommand:
             (tmp_path / "trace.jsonl.manifest.json").read_text()
         )
         assert manifest.event_count == len(lines)
+        assert manifest.extra["mode"] == "columnar"
 
     def test_trace_same_seed_byte_identical_files(self, tmp_path, capsys):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:
-            assert main(["trace", "--seed", "5", "--out", str(path)]) == 0
+            assert main(["run", CANONICAL, "--seed", "5",
+                         "--trace", str(path)]) == 0
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
         manifests = [
@@ -141,39 +216,29 @@ class TestTraceCommand:
         ]
         assert manifests[0] == manifests[1]
 
-    def test_trace_tail_prints_lines(self, capsys):
-        assert main(["trace", "--tail", "3"]) == 0
-        out = capsys.readouterr().out
-        json_lines = [l for l in out.splitlines() if l.startswith("{")]
-        assert len(json_lines) == 3
-
     def test_metrics_dumps_sorted_export(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "metrics.json"
-        assert main(["metrics", "--out", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "metrics digest:" in out
-        doc = json.loads(out_path.read_text())
+        out_path = tmp_path / "report.json"
+        assert main(["run", CANONICAL, "--mode", "engine",
+                     "--report", str(out_path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out_path.read_text())["metrics"]
         assert doc["format_version"] == 1
         names = list(doc["metrics"])
         assert names == sorted(names)
         assert "zmail.deliver.delivered" in doc["metrics"]
+        assert "engine.events_processed" in doc["metrics"]
 
 
 class TestCluster:
-    _ARGS = [
-        "cluster", "--mode", "inline", "--shards", "2",
-        "--isps", "4", "--users", "6", "--days", "1",
-    ]
+    _ARGS = ["run", CLUSTER, "--mode", "cluster", "--shards", "2"]
 
     def test_cluster_same_seed_reruns_cmp_identical(self, tmp_path, capsys):
-        """Satellite oracle: same-seed `repro cluster` reruns write
-        byte-identical manifests (and shard count doesn't matter)."""
+        """Same-seed cluster reruns write byte-identical manifests (and
+        shard count doesn't matter)."""
         paths = [tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"]
         for path, shards in zip(paths, ("2", "2", "1")):
             code = main(
-                self._ARGS[:4] + [shards] + self._ARGS[5:]
+                self._ARGS[:5] + [shards]
                 + ["--seed", "9", "--manifest", str(path)]
             )
             assert code == 0
@@ -182,16 +247,15 @@ class TestCluster:
         assert paths[0].read_bytes() == paths[2].read_bytes()
 
     def test_cluster_prints_summary_and_writes_report(self, tmp_path, capsys):
-        import json
-
         report_path = tmp_path / "report.json"
         assert main(self._ARGS + ["--report", str(report_path)]) == 0
         out = capsys.readouterr().out
+        assert "mode:            cluster" in out
         assert "conserved:       True" in out
         assert "manifest digest:" in out
         report = json.loads(report_path.read_text())
         assert report["n_shards"] == 2
-        assert len(report["assignment"]) == 4
+        assert len(report["assignment"]) == 8
 
     def test_cluster_seed_changes_results(self, tmp_path, capsys):
         digests = []
@@ -227,8 +291,6 @@ class TestArenaCommand:
         assert one.read_bytes() == two.read_bytes()
 
     def test_arena_json_output_parses(self, capsys):
-        import json
-
         assert main(self.ARGS + ["--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True

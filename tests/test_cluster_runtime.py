@@ -209,6 +209,25 @@ class TestWorkerEntry:
                  "final": False}
             )
 
+    def test_tampered_journal_balance_rejected(self, tmp_path):
+        # A journal that still parses but carries one flipped balance
+        # digit must stop the restart, not rebuild a wrong ledger.
+        spec = self._spec(tmp_path)
+        ShardWorker(spec).handle_inputs(
+            {"cycle": 0, "batches": [], "reconcile": False, "final": False}
+        )
+        assert ShardWorker(spec).restored  # the intact journal restores
+        with open(spec.journal_path, "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        payload = envelope["payload"]
+        at = payload.index('"balance":') + len('"balance":')
+        flipped = str((int(payload[at]) + 1) % 10)
+        envelope["payload"] = payload[:at] + flipped + payload[at + 1:]
+        with open(spec.journal_path, "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle)
+        with pytest.raises(SimulationError, match="checksum mismatch"):
+            ShardWorker(spec)
+
     def test_unreadable_journal_rejected(self, tmp_path):
         spec = self._spec(tmp_path)
         with open(spec.journal_path, "w", encoding="utf-8") as handle:

@@ -19,18 +19,57 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ZmailConfig
-from repro.core.scenario import Scenario, SpammerSpec, ZombieSpec
+from repro.core.scenario import EXECUTORS, Scenario, SpammerSpec, ZombieSpec
 from repro.errors import SimulationError
-from repro.obs.canonical import (
-    CANONICAL_MODES,
-    canonical_scenario,
-    invariant_manifest,
-    run_canonical,
-)
-from repro.obs.manifest import accounting_digest
+from repro.obs.manifest import RunManifest, accounting_digest, config_digest
+from repro.obs.metrics_export import MetricsExporter
+from repro.obs.schema import LEDGER_EVENT_TYPES
+from repro.obs.trace import AdditiveMultisetDigest, DigestSink, TraceRecorder
+from repro.scenario import compile_scenario, run_plan
 from repro.sim.clock import DAY, HOUR
 from repro.sim.rng import SeededStreams
 from repro.sim.workload import Address, merge_workloads
+
+CANONICAL = compile_scenario(
+    str(pathlib.Path(__file__).resolve().parent.parent
+        / "examples" / "scenarios" / "canonical-3isp.yaml")
+)
+
+
+def canonical_scenario(mode: str = "direct") -> Scenario:
+    """The canonical 3-ISP world on one executor."""
+    return CANONICAL.scenario(mode)
+
+
+def invariant_manifest(mode: str) -> RunManifest:
+    """The canonical run distilled to facts every executor must share.
+
+    Stronger than ``repro run --manifest``: the ledger-event multiset
+    keeps ``reconcile`` rows (only ``t``/``seq``/``method`` are
+    stripped), and the accounting digest covers letters in flight.
+    """
+    ledger = AdditiveMultisetDigest(
+        include_types=LEDGER_EVENT_TYPES,
+        exclude_fields=("t", "seq", "method"),
+    )
+    scenario = canonical_scenario(mode)
+    scenario.tracer = TraceRecorder(sink=DigestSink(ledger))
+    result = scenario.run()
+    exporter = MetricsExporter()
+    exporter.add_registry("zmail", result.network.metrics)
+    return RunManifest(
+        seed=scenario.seed,
+        config_digest=config_digest(scenario.config),
+        event_count=ledger.count,
+        event_digest=ledger.digest(),
+        metrics_digest=exporter.digest(),
+        extra={
+            "accounting_digest": accounting_digest(result.network),
+            "sends_attempted": result.sends_attempted,
+            "conserved": result.conserved,
+            "total_value": result.network.total_value(),
+        },
+    )
 
 
 def run_both(scenario: Scenario):
@@ -57,14 +96,16 @@ class TestCanonicalEquivalence:
         # The strongest claim: with tracing on, the columnar executor
         # reproduces the direct loop's ordered event stream exactly —
         # same events, same virtual timestamps, same sequence numbers.
-        _, direct_rec, _, _ = run_canonical(mode="direct")
-        _, columnar_rec, _, _ = run_canonical(mode="columnar")
-        assert direct_rec.events_emitted == columnar_rec.events_emitted
-        assert direct_rec.digest() == columnar_rec.digest()
+        direct, columnar = (
+            run_plan(CANONICAL, mode)["trace_manifest"]
+            for mode in ("direct", "columnar")
+        )
+        assert direct.event_count == columnar.event_count
+        assert direct.event_digest == columnar.event_digest
 
     def test_columnar_runs_are_deterministic(self):
-        first = canonical_scenario(mode="columnar").run()
-        second = canonical_scenario(mode="columnar").run()
+        first = canonical_scenario("columnar").run()
+        second = canonical_scenario("columnar").run()
         assert first.summary() == second.summary()
         assert first.cut_digests == second.cut_digests
         assert accounting_digest(first.network) == accounting_digest(
@@ -73,10 +114,12 @@ class TestCanonicalEquivalence:
 
     def test_invariant_manifest_identical_across_all_executors(self):
         documents = {
-            mode: invariant_manifest(mode=mode).to_json()
-            for mode in CANONICAL_MODES
+            mode: invariant_manifest(mode).to_json() for mode in EXECUTORS
         }
         assert len(set(documents.values())) == 1, documents.keys()
+        manifest = RunManifest.from_json(documents["direct"])
+        assert manifest.extra["conserved"] is True
+        assert manifest.event_count > 0
 
 
 class TestColumnStreams:
@@ -114,14 +157,14 @@ class TestColumnStreams:
 
 class TestGuards:
     def test_non_compliant_deployment_is_rejected(self):
-        scenario = canonical_scenario(mode="columnar")
+        scenario = canonical_scenario("columnar")
         scenario.compliant = [True, True, False]
         with pytest.raises(SimulationError):
             scenario.run()
 
     def test_unknown_canonical_mode_is_rejected(self):
         with pytest.raises(SimulationError):
-            canonical_scenario(mode="parallel")
+            canonical_scenario("parallel")
         with pytest.raises(SimulationError):
             Scenario(executor="parallel")
 

@@ -9,54 +9,69 @@ Two properties make the trace usable as a regression oracle:
   simulation it records.
 """
 
-import pytest
+import os
 
 from repro.chaos import ChaosDeployment, FaultSpec
 from repro.core import ZmailConfig
-from repro.obs.canonical import (
-    CANONICAL_SEED,
-    canonical_scenario,
-    run_canonical,
-)
 from repro.obs.schema import EVENT_TYPES, validate_trace_lines
 from repro.obs.spans import SpanRegistry
 from repro.obs.trace import ListSink, TraceRecorder
+from repro.scenario import compile_scenario, load, run_plan
 from repro.sim import SeededStreams
 from repro.sim.rng import derive_seed
 from repro.sim.workload import NormalUserWorkload
 
+CANONICAL = os.path.join(
+    os.path.dirname(__file__), "..", "examples", "scenarios",
+    "canonical-3isp.yaml",
+)
+CANONICAL_SEED = 7
+
+
+def canonical_plan(seed=CANONICAL_SEED):
+    doc = load(CANONICAL)
+    doc["seed"] = seed
+    return compile_scenario(doc)
+
+
+def run_canonical(seed=CANONICAL_SEED, sink=None):
+    """The canonical world's traced direct run: its trace manifest."""
+    return run_plan(canonical_plan(seed), "direct", sink=sink)[
+        "trace_manifest"
+    ]
+
 
 class TestCanonicalDeterminism:
     def test_same_seed_same_digests_and_manifest_bytes(self):
-        _, rec1, exp1, man1 = run_canonical(seed=CANONICAL_SEED)
-        _, rec2, exp2, man2 = run_canonical(seed=CANONICAL_SEED)
-        assert rec1.events_emitted == rec2.events_emitted > 0
-        assert rec1.digest() == rec2.digest()
-        assert exp1.digest() == exp2.digest()
+        man1 = run_canonical()
+        man2 = run_canonical()
+        assert man1.event_count == man2.event_count > 0
+        assert man1.event_digest == man2.event_digest
+        assert man1.metrics_digest == man2.metrics_digest
         assert man1.to_json() == man2.to_json()
         assert man1.digest() == man2.digest()
 
     def test_same_seed_same_trace_bytes(self):
         sink1, sink2 = ListSink(), ListSink()
-        run_canonical(seed=CANONICAL_SEED, sink=sink1)
-        run_canonical(seed=CANONICAL_SEED, sink=sink2)
+        run_canonical(sink=sink1)
+        run_canonical(sink=sink2)
         assert sink1.lines() == sink2.lines()
 
     def test_different_seed_different_event_digest(self):
-        _, rec1, _, man1 = run_canonical(seed=CANONICAL_SEED)
-        _, rec2, _, man2 = run_canonical(seed=CANONICAL_SEED + 1)
-        assert rec1.digest() != rec2.digest()
+        man1 = run_canonical()
+        man2 = run_canonical(seed=CANONICAL_SEED + 1)
+        assert man1.event_digest != man2.event_digest
         assert man1.to_json() != man2.to_json()
 
     def test_canonical_trace_is_schema_valid(self):
         sink = ListSink()
-        _, recorder, _, _ = run_canonical(seed=CANONICAL_SEED, sink=sink)
+        manifest = run_canonical(sink=sink)
         checked = validate_trace_lines(sink.lines())
-        assert checked == recorder.events_emitted > 1000
+        assert checked == manifest.event_count > 1000
 
     def test_canonical_trace_covers_the_ledger_path(self):
         sink = ListSink()
-        run_canonical(seed=CANONICAL_SEED, sink=sink)
+        run_canonical(sink=sink)
         seen = {event["type"] for event in sink.events()}
         assert seen <= set(EVENT_TYPES)
         for expected in ("send", "deliver", "midnight", "reconcile"):
@@ -68,21 +83,24 @@ class TestCanonicalDeterminism:
 
 class TestObserverEffect:
     def test_tracing_on_and_off_produce_identical_outcomes(self):
-        traced = canonical_scenario(tracer=TraceRecorder()).run()
-        untraced = canonical_scenario().run()
-        assert traced.summary() == untraced.summary()
+        traced = canonical_plan().scenario()
+        traced.tracer = TraceRecorder()
+        untraced = canonical_plan().scenario()
+        assert traced.run().summary() == untraced.run().summary()
 
     def test_manifest_identical_with_and_without_sink(self):
         # Retention is pure observation: streaming every line to a sink
         # must not shift a single event relative to the sinkless run.
-        _, rec_sinkless, _, man_sinkless = run_canonical()
-        _, rec_sink, _, man_sink = run_canonical(sink=ListSink())
-        assert rec_sinkless.digest() == rec_sink.digest()
+        man_sinkless = run_canonical()
+        man_sink = run_canonical(sink=ListSink())
+        assert man_sinkless.event_digest == man_sink.event_digest
         assert man_sinkless.to_json() == man_sink.to_json()
 
     def test_spans_do_not_perturb_the_trace(self):
-        plain = canonical_scenario(tracer=TraceRecorder())
-        spanned = canonical_scenario(tracer=TraceRecorder())
+        plain = canonical_plan().scenario()
+        plain.tracer = TraceRecorder()
+        spanned = canonical_plan().scenario()
+        spanned.tracer = TraceRecorder()
         spanned.spans = SpanRegistry()
         r1 = plain.run()
         r2 = spanned.run()

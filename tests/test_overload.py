@@ -4,12 +4,13 @@ Covers the building blocks in :mod:`repro.core.overload`, their wiring
 into :class:`ZmailNetwork` (direct and engine drive modes), the priority
 shedding policy (paid compliant mail sheds last), the SMTP gateway's
 backpressure face, and byte-level determinism of the built-in overload
-campaign.
+cells (``examples/scenarios/overload-*.yaml``).
 """
+
+import pathlib
 
 import pytest
 
-from repro.chaos import DEFAULT_OVERLOAD_SPEC, run_campaign
 from repro.chaos.deployment import ChaosDeployment
 from repro.chaos.faults import FaultSpec, FloodSpec, flood_requests
 from repro.core.overload import (
@@ -26,6 +27,7 @@ from repro.core.overload import (
 from repro.core.protocol import ZmailNetwork
 from repro.core.transfer import SendStatus
 from repro.errors import ConfigError, SimulationError
+from repro.scenario import compile_scenario, run_plan
 from repro.sim.rng import SeededStreams, derive_seed
 from repro.sim.workload import Address, TrafficKind
 
@@ -378,18 +380,25 @@ class TestFloodSpec:
         assert all(r.sender.isp == 0 and r.recipient.isp == 1 for r in first)
 
 
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / (
+    "examples/scenarios"
+)
+
+
 class TestOverloadCampaign:
     def test_builtin_campaign_passes_and_is_deterministic(self):
-        first = run_campaign(DEFAULT_OVERLOAD_SPEC)
-        second = run_campaign(DEFAULT_OVERLOAD_SPEC)
-        assert first == second
-        assert first["passed"], [
-            (row["cell"], row["first_violation"],
-             row["first_overload_violation"])
-            for row in first["cells"]
-        ]
-        flood_row = next(
-            row for row in first["cells"] if row["cell"] == "flood-10x"
-        )
+        rows = {}
+        for cell in ("baseline", "burst-2x", "flood-10x"):
+            plan = compile_scenario(
+                str(SCENARIOS / f"overload-{cell}.yaml")
+            )
+            first = run_plan(plan, "chaos")["report"]
+            assert run_plan(plan, "chaos")["report"] == first
+            assert first["passed"], (
+                cell, first["first_violation"],
+                first["first_overload_violation"],
+            )
+            rows[cell] = first
+        flood_row = rows["flood-10x"]
         assert flood_row["overload_shed"] > 0
         assert flood_row["overload_peak_pending"] <= 64

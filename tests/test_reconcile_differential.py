@@ -11,6 +11,9 @@ K ∈ {1, 2, 4} × shards ∈ {1..4} and a CLI-level byte comparison pin the
 same contract deterministically.
 """
 
+import json
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -112,15 +115,20 @@ class TestConfigValidation:
 
 
 def test_cli_lag_writes_identical_manifest_bytes(tmp_path, capsys):
-    """`repro cluster --lag K` is the CI cmp smoke, in-process."""
-    base_path = tmp_path / "lockstep.json"
-    lag_path = tmp_path / "lag2.json"
-    common = ["cluster", "--seed", "9", "--shards", "2", "--mode", "inline",
-              "--isps", "4", "--users", "8", "--days", "1"]
-    assert cli.main(common + ["--manifest", str(base_path)]) == 0
-    assert cli.main(
-        common + ["--lag", "2", "--manifest", str(lag_path)]
-    ) == 0
-    assert base_path.read_bytes() == lag_path.read_bytes()
-    out = capsys.readouterr().out
-    assert "lockstep" in out and "bounded-lag K=2" in out
+    """`repro run --mode cluster --lag K` is the CI cmp smoke, in-process."""
+    doc = os.path.join(os.path.dirname(__file__), "..", "examples",
+                       "scenarios", "cluster-8x16.yaml")
+    paths = {lag: (tmp_path / f"lag{lag}.json", tmp_path / f"r{lag}.json")
+             for lag in ("0", "2")}
+    for lag, (manifest, report) in paths.items():
+        assert cli.main([
+            "run", doc, "--mode", "cluster", "--seed", "9", "--shards", "2",
+            "--lag", lag, "--manifest", str(manifest),
+            "--report", str(report),
+        ]) == 0
+    capsys.readouterr()
+    assert paths["0"][0].read_bytes() == paths["2"][0].read_bytes()
+    reports = {lag: json.loads(report.read_text())
+               for lag, (_, report) in paths.items()}
+    assert reports["0"]["lag"] == 0 and reports["2"]["lag"] == 2
+    assert reports["2"]["reconcile"]["all_consistent"]

@@ -1,22 +1,23 @@
-"""The committed example scenarios reproduce their hand-built originals.
+"""The committed example scenarios are the built-in worlds; their pins.
 
-``examples/scenarios/`` migrates every built-in world to the declarative
-schema: the canonical 3-ISP scenario and all six cells of the built-in
-chaos and overload campaigns. These tests pin the migration — the
-canonical document compiles to a ``Scenario`` *equal* to the hand-built
-one, and each campaign document's chaos run reproduces the original
-cell's report row byte for byte — so the documents and the code they
-migrated from can never drift apart silently.
+``examples/scenarios/`` holds every built-in world as a declarative
+document: the canonical 3-ISP scenario, all six chaos and overload
+cells, the mixed 4-ISP world and the 8-ISP cluster world. There is no
+second, hand-built copy of any of them, so these tests pin each world by
+values recorded when the hand-built copies still existed (and agreed
+with the documents): trace and manifest digests, chaos report rows and
+summary counters. A change to a document, or to the code that runs it,
+shows up here as a pin mismatch.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
-from repro.chaos.campaign import DEFAULT_OVERLOAD_SPEC, DEFAULT_SPEC, run_cell
 from repro.cli import main
-from repro.obs.canonical import canonical_scenario
+from repro.cluster import cluster_scenario
 from repro.scenario import compile_scenario, run_plan
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples", "scenarios")
@@ -26,25 +27,90 @@ def example(name):
     return os.path.join(EXAMPLES, name)
 
 
-def test_canonical_document_compiles_to_the_canonical_scenario():
-    plan = compile_scenario(example("canonical-3isp.yaml"))
-    assert plan.scenario("direct") == canonical_scenario()
+#: SHA-256 of the canonical world's JSONL trace (= its event digest) per
+#: executor, and the digest of its invariant manifest on all three.
+CANONICAL_TRACE = {
+    "direct": "febd3980f405720894514efdf28807e0bdd7bc993aeb3884274c35818226d8b1",
+    "columnar": "febd3980f405720894514efdf28807e0bdd7bc993aeb3884274c35818226d8b1",
+    "engine": "ef22b4a01a335ef639e0e8a659719226b09aa63b06b295a1cac045e9ec4cc772",
+}
+CANONICAL_MANIFEST = (
+    "517e6adbcff73a6e41f9d70aa99e2ce80fbe6ef58212b3db695215da5491d4fb"
+)
 
 
-def campaign_cases():
-    for spec, stem in ((DEFAULT_SPEC, "chaos"), (DEFAULT_OVERLOAD_SPEC,
-                                                 "overload")):
-        for cell in spec["cells"]:
-            yield pytest.param(spec, cell, f"{stem}-{cell['name']}.yaml",
-                               id=f"{stem}-{cell['name']}")
+def test_canonical_document_compiles_to_the_canonical_scenario(
+    tmp_path, capsys
+):
+    trace = tmp_path / "trace.jsonl"
+    for mode, trace_digest in CANONICAL_TRACE.items():
+        assert main([
+            "run", example("canonical-3isp.yaml"), "--mode", mode,
+            "--trace", str(trace),
+        ]) == 0
+        assert f"manifest digest: {CANONICAL_MANIFEST}" in (
+            capsys.readouterr().out
+        )
+        data = trace.read_bytes()
+        assert data.count(b"\n") == 5301
+        assert hashlib.sha256(data).hexdigest() == trace_digest
 
 
-@pytest.mark.parametrize("spec, cell, filename", campaign_cases())
-def test_campaign_documents_reproduce_cell_rows(spec, cell, filename):
-    plan = compile_scenario(example(filename))
+#: Prefix of SHA-256 over ``json.dumps(row, sort_keys=True)`` for each
+#: document's chaos-mode report row at the document seed.
+CHAOS_ROWS = {
+    "chaos-clean": "1db6547dc6f2c222",
+    "chaos-lossy-dup-reorder": "914647d5a12ec09f",
+    "chaos-crashy": "65e6a9f0d9dbf2fa",
+    "overload-baseline": "88844b5c183d898b",
+    "overload-burst-2x": "8b687dfb7dba86f1",
+    "overload-flood-10x": "e21578c2ac8d22f8",
+}
+
+
+def row_digest(row):
+    return hashlib.sha256(
+        json.dumps(row, sort_keys=True).encode("utf-8")
+    ).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("stem", list(CHAOS_ROWS))
+def test_campaign_documents_reproduce_cell_rows(stem):
+    plan = compile_scenario(example(f"{stem}.yaml"))
     row = run_plan(plan, "chaos")["report"]
-    assert row == run_cell(spec, cell, seed=spec["seed"])
+    assert row_digest(row) == CHAOS_ROWS[stem]
     assert row["passed"]
+
+
+def test_cluster_document_compiles_to_cluster_scenario():
+    plan = compile_scenario(example("cluster-8x16.yaml"))
+    assert plan.scenario("direct") == cluster_scenario(
+        9, n_isps=8, users_per_isp=16, days=1
+    )
+    config = plan.cluster_config()
+    assert (config.n_shards, config.epoch_len, config.lag) == (4, 3600.0, 0)
+
+
+def test_mixed_document_reproduces_its_summary(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main([
+        "run", example("mixed-4isp.yaml"), "--report", str(report),
+    ]) == 0
+    capsys.readouterr()
+    summary = json.loads(report.read_text())
+    del summary["cut_digests"], summary["metrics"]
+    assert summary == {
+        "sends_attempted": 2531,
+        "delivered": 1874,
+        "blocked_balance": 0,
+        "blocked_limit": 657,
+        "junked": 581,
+        "spam_delivered": 562,
+        "zombies_detected": 2,
+        "reconciliation_rounds": 3,
+        "all_consistent": True,
+        "conserved": True,
+    }
 
 
 def test_cli_run_writes_manifest_and_report(tmp_path, capsys):
@@ -98,3 +164,13 @@ def test_arena_document_byte_agrees_across_executors():
     assert manifests["direct"] == manifests["columnar"]
     assert manifests["direct"] == manifests["cluster"]
     assert run_plan(plan, "direct")["manifest"].extra["conserved"] is True
+
+
+def test_only_single_process_drives_stream_a_trace():
+    from repro.errors import SimulationError
+    from repro.obs.trace import ListSink
+
+    plan = compile_scenario(example("chaos-clean.yaml"))
+    for mode in ("cluster", "chaos"):
+        with pytest.raises(SimulationError, match="cannot stream a trace"):
+            run_plan(plan, mode, sink=ListSink())

@@ -17,22 +17,30 @@
 #    *ratio* gates — smoke columnar must hold >=2x engine_stream within
 #    the same run, and the committed full-scale columnar lead must stay
 #    >=3x.
-# 4. Runs the built-in seeded chaos smoke campaign twice (well under 60s
-#    total) and fails if any cell breaks an invariant or the two reports
-#    are not byte-identical (determinism gate).
-# 5. Runs the built-in seeded overload campaign twice the same way:
-#    every cell must keep the overload monitors green (bounded queues,
-#    no lost accounting) and the two reports must be byte-identical.
-# 6. Runs the cluster determinism smoke: the same seeded scenario at 1
-#    and 4 shards (real spawn workers) must produce byte-identical
-#    merged run manifests (cmp), the sharding-invariance contract —
-#    then again at 4 shards under the bounded-lag asynchronous drive
-#    (--lag 2, streaming reconciliation): its manifest must byte-match
-#    the lockstep one, the lockstep-as-oracle contract.
-# 7. Runs the executor determinism smoke: the canonical scenario driven
-#    by the direct loop, the columnar batch executor and the engine must
-#    produce byte-identical executor-invariant manifests (cmp) — ledger
-#    event multiset, protocol metrics and accounting digest all agree. The
+# 4. Runs each built-in chaos cell (examples/scenarios/chaos-*.yaml)
+#    twice with `repro run --mode chaos` (well under 60s total) and
+#    fails if any cell breaks an invariant or the two report rows are
+#    not byte-identical (determinism gate).
+# 5. Runs each built-in overload cell (overload-*.yaml) twice the same
+#    way: every cell must keep the overload monitors green (bounded
+#    queues, no lost accounting) and the two rows must be
+#    byte-identical.
+# 6. Runs the cluster determinism smoke on cluster-8x16.yaml: the same
+#    seeded world at 1 and 4 shards (real spawn workers) must produce
+#    byte-identical run manifests (cmp), the sharding-invariance
+#    contract — then again at 4 shards under the bounded-lag
+#    asynchronous drive (--lag 2, streaming reconciliation), the
+#    lockstep-as-oracle contract, and on the direct loop. The cluster's
+#    full-event merged manifest is compared across shard counts, lag
+#    and drive modes by tests/test_cluster_runtime.py
+#    (TestShardInvariance), test_cluster_failstop.py and
+#    test_reconcile_differential.py.
+# 7. Runs the executor determinism smoke: canonical-3isp.yaml driven by
+#    the direct loop, the columnar batch executor and the engine must
+#    produce byte-identical run manifests (cmp) — ledger event multiset,
+#    protocol metrics and accounting digest all agree. The stronger
+#    manifest that also keeps reconcile events and letters in flight is
+#    compared across all three by tests/test_columnar.py. The
 #    throughput gate additionally requires the committed columnar run
 #    to hold a >=3x lead over engine_stream at full scale.
 # 8. Runs the store soak smoke: a short seeded soak with two injected
@@ -167,25 +175,33 @@ if lead < 3.0:
     raise SystemExit(f"columnar lead {lead:.2f}x below the 3x floor")
 EOF
 
+# run_twice NAME DOC ARGS...: two `repro run` reports, compared with cmp.
+run_twice() {
+    local name="$1" doc="$2"
+    shift 2
+    PYTHONPATH=src python -m repro run "examples/scenarios/${doc}.yaml" \
+        "$@" --report "/tmp/${name}_1.json"
+    PYTHONPATH=src python -m repro run "examples/scenarios/${doc}.yaml" \
+        "$@" --report "/tmp/${name}_2.json" >/dev/null
+    cmp "/tmp/${name}_1.json" "/tmp/${name}_2.json" \
+        || { echo "${doc} is not reproducible"; exit 1; }
+}
+
 CHAOS_SEED="${CI_CHAOS_SEED:-7}"
-echo "== chaos smoke campaign (seed ${CHAOS_SEED}) =="
-PYTHONPATH=src python -m repro chaos --seed "${CHAOS_SEED}" \
-    --out /tmp/chaos_report_1.json
-PYTHONPATH=src python -m repro chaos --seed "${CHAOS_SEED}" \
-    --out /tmp/chaos_report_2.json >/dev/null
-cmp /tmp/chaos_report_1.json /tmp/chaos_report_2.json \
-    || { echo "chaos campaign is not reproducible"; exit 1; }
-echo "chaos campaign reproducible"
+echo "== chaos smoke cells (seed ${CHAOS_SEED}) =="
+for cell in clean lossy-dup-reorder crashy; do
+    run_twice "chaos_${cell}" "chaos-${cell}" \
+        --mode chaos --seed "${CHAOS_SEED}"
+done
+echo "chaos cells reproducible"
 
 OVERLOAD_SEED="${CI_OVERLOAD_SEED:-11}"
-echo "== overload smoke campaign (seed ${OVERLOAD_SEED}) =="
-PYTHONPATH=src python -m repro overload --seed "${OVERLOAD_SEED}" \
-    --out /tmp/overload_report_1.json
-PYTHONPATH=src python -m repro overload --seed "${OVERLOAD_SEED}" \
-    --out /tmp/overload_report_2.json >/dev/null
-cmp /tmp/overload_report_1.json /tmp/overload_report_2.json \
-    || { echo "overload campaign is not reproducible"; exit 1; }
-echo "overload campaign reproducible"
+echo "== overload smoke cells (seed ${OVERLOAD_SEED}) =="
+for cell in baseline burst-2x flood-10x; do
+    run_twice "overload_${cell}" "overload-${cell}" \
+        --mode chaos --seed "${OVERLOAD_SEED}"
+done
+echo "overload cells reproducible"
 
 FUZZ_SMOKE_SEED="${CI_FUZZ_SMOKE_SEED:-7}"
 echo "== scenario fuzz smoke (5 worlds, seed ${FUZZ_SMOKE_SEED}) =="
@@ -196,31 +212,39 @@ echo "== scenario fuzz smoke (5 worlds, seed ${FUZZ_SMOKE_SEED}) =="
 PYTHONPATH=src python -m repro fuzz --count 5 --seed "${FUZZ_SMOKE_SEED}"
 
 CLUSTER_SEED="${CI_CLUSTER_SEED:-9}"
+CLUSTER_DOC=examples/scenarios/cluster-8x16.yaml
+# cluster_manifest NAME ARGS...: one seeded cluster-8x16 run's manifest.
+cluster_manifest() {
+    local name="$1"
+    shift
+    PYTHONPATH=src python -m repro run "${CLUSTER_DOC}" \
+        --seed "${CLUSTER_SEED}" "$@" \
+        --manifest "/tmp/cluster_manifest_${name}.json"
+}
 echo "== cluster determinism smoke (seed ${CLUSTER_SEED}, 1 vs 4 shards) =="
-PYTHONPATH=src python -m repro cluster --seed "${CLUSTER_SEED}" \
-    --shards 1 --isps 8 --users 16 --days 1 \
-    --manifest /tmp/cluster_manifest_1.json
-PYTHONPATH=src python -m repro cluster --seed "${CLUSTER_SEED}" \
-    --shards 4 --isps 8 --users 16 --days 1 \
-    --manifest /tmp/cluster_manifest_4.json >/dev/null
+cluster_manifest 1 --mode cluster --cluster-mode spawn --shards 1
+cluster_manifest 4 --mode cluster --cluster-mode spawn --shards 4 >/dev/null
 cmp /tmp/cluster_manifest_1.json /tmp/cluster_manifest_4.json \
     || { echo "cluster runtime is not shard-invariant"; exit 1; }
 echo "cluster manifests byte-identical across shard counts"
 
 echo "== bounded-lag determinism smoke (seed ${CLUSTER_SEED}, lockstep vs --lag 2) =="
-PYTHONPATH=src python -m repro cluster --seed "${CLUSTER_SEED}" \
-    --shards 4 --lag 2 --isps 8 --users 16 --days 1 \
-    --manifest /tmp/cluster_manifest_lag.json >/dev/null
+cluster_manifest lag --mode cluster --cluster-mode spawn --shards 4 \
+    --lag 2 >/dev/null
 cmp /tmp/cluster_manifest_1.json /tmp/cluster_manifest_lag.json \
     || { echo "bounded-lag drive diverges from lockstep"; exit 1; }
 echo "bounded-lag manifest byte-identical to lockstep"
+cluster_manifest direct --mode direct >/dev/null
+cmp /tmp/cluster_manifest_1.json /tmp/cluster_manifest_direct.json \
+    || { echo "cluster diverges from the direct loop"; exit 1; }
+echo "cluster manifest byte-identical to the direct loop"
 
 COLUMNAR_SEED="${CI_COLUMNAR_SEED:-7}"
 echo "== executor determinism smoke (seed ${COLUMNAR_SEED}, direct vs columnar vs engine) =="
 for mode in direct columnar engine; do
-    PYTHONPATH=src python -m repro trace --seed "${COLUMNAR_SEED}" \
-        --mode "${mode}" \
-        --invariant-manifest "/tmp/invariant_${mode}.json" >/dev/null
+    PYTHONPATH=src python -m repro run examples/scenarios/canonical-3isp.yaml \
+        --seed "${COLUMNAR_SEED}" --mode "${mode}" \
+        --manifest "/tmp/invariant_${mode}.json" >/dev/null
 done
 cmp /tmp/invariant_direct.json /tmp/invariant_columnar.json \
     || { echo "columnar executor diverges from the direct loop"; exit 1; }
